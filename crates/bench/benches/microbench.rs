@@ -169,7 +169,7 @@ fn bench_wire(results: &mut Vec<MicroResult>) {
         (delta.apply(std::hint::black_box(0x1234)), delta.apply_transport(0x5678))
     });
     // The pre-fastpath strategy, kept for the trajectory: full header +
-    // segment re-sum on every rewrite (the FullRecompute oracle's cost).
+    // segment re-sum on every rewrite (what the proptest reference does).
     let mut frame = pkt.clone();
     let mut flip = 0usize;
     bench(results, "wire", "nat_rewrite_full_recompute", Some(len), || {

@@ -50,7 +50,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 48 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -99,7 +98,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaUdp },
@@ -157,7 +155,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 56 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AcceptNoAnswer },
@@ -212,7 +209,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 48 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -267,7 +263,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 48 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -316,7 +311,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 56 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -374,7 +368,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -427,7 +420,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: false,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -476,7 +468,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AcceptNoAnswer },
@@ -543,7 +534,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 40 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -596,7 +586,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 48 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -663,7 +652,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 48 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -712,7 +700,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 48 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -761,7 +748,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 56 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -819,7 +805,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -872,7 +857,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 80 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: false,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -921,7 +905,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -970,7 +953,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -1028,7 +1010,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1077,7 +1058,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 80 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1135,7 +1115,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AcceptNoAnswer },
@@ -1193,7 +1172,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AcceptNoAnswer },
@@ -1260,7 +1238,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 32 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1327,7 +1304,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 72 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1385,7 +1361,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 80 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1443,7 +1418,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1498,7 +1472,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 72 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1547,7 +1520,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 72 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1596,7 +1568,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: true,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -1649,7 +1620,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 96 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: false,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1707,7 +1677,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 128 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },
@@ -1756,7 +1725,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 72 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -1805,7 +1773,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 64 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::AnswerViaTcp },
@@ -1872,7 +1839,6 @@ pub(crate) fn build_all() -> Vec<DeviceProfile> {
                     buffer_down: 80 * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 },
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: true,
                 honor_record_route: false,
                 dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },

@@ -29,9 +29,7 @@ use hgw_wire::{Ipv4Packet, SeqNumber, TcpFlags, TcpPacket, UdpPacket, UdpRepr};
 
 use crate::engine::{ForwardingEngine, FwdDir};
 use crate::nat::{InboundVerdict, NatProto, NatTable, OutboundVerdict};
-use crate::policy::{
-    DnsTcpMode, GatewayPolicy, IcmpErrorKind, NatChecksumMode, UnknownProtoPolicy,
-};
+use crate::policy::{DnsTcpMode, GatewayPolicy, IcmpErrorKind, UnknownProtoPolicy};
 
 /// The LAN-side port of every gateway.
 pub const LAN_PORT: PortId = PortId(0);
@@ -353,13 +351,7 @@ impl Gateway {
                     self.drop_frame(ctx, DropReason::TtlExpired, bytes);
                     return;
                 }
-                match self.policy.nat_checksum {
-                    NatChecksumMode::Incremental => ip.set_ttl_adjusted(ttl - 1),
-                    NatChecksumMode::FullRecompute => {
-                        ip.set_ttl(ttl - 1);
-                        ip.fill_checksum();
-                    }
-                }
+                ip.set_ttl_adjusted(ttl - 1);
             }
         }
         // Record Route.
@@ -388,24 +380,11 @@ impl Gateway {
                     OutboundVerdict::Translated { external_port, created } => {
                         {
                             let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_src_addr_adjusted(wan_addr);
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    delta.update_word(sport, external_port);
-                                    udpm.set_src_port(external_port);
-                                    udpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_src_addr(wan_addr);
-                                    ipm.fill_checksum();
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    udpm.set_src_port(external_port);
-                                    if udpm.checksum() != 0 {
-                                        udpm.fill_checksum(wan_addr, dst_addr);
-                                    }
-                                }
-                            }
+                            let mut delta = ipm.set_src_addr_adjusted(wan_addr);
+                            let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
+                            delta.update_word(sport, external_port);
+                            udpm.set_src_port(external_port);
+                            udpm.adjust_checksum(delta);
                         }
                         if created {
                             ctx.emit_trace(TraceEvent::BindingCreated {
@@ -437,24 +416,11 @@ impl Gateway {
                     OutboundVerdict::Translated { external_port, created } => {
                         {
                             let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_src_addr_adjusted(wan_addr);
-                                    let mut tcpm =
-                                        TcpPacket::new_unchecked(&mut ipm.into_inner()[hl..]);
-                                    delta.update_word(sport, external_port);
-                                    tcpm.set_src_port(external_port);
-                                    tcpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_src_addr(wan_addr);
-                                    ipm.fill_checksum();
-                                    let mut tcpm =
-                                        TcpPacket::new_unchecked(&mut ipm.into_inner()[hl..]);
-                                    tcpm.set_src_port(external_port);
-                                    tcpm.fill_checksum(wan_addr, dst_addr);
-                                }
-                            }
+                            let mut delta = ipm.set_src_addr_adjusted(wan_addr);
+                            let mut tcpm = TcpPacket::new_unchecked(&mut ipm.into_inner()[hl..]);
+                            delta.update_word(sport, external_port);
+                            tcpm.set_src_port(external_port);
+                            tcpm.adjust_checksum(delta);
                         }
                         if created {
                             ctx.emit_trace(TraceEvent::BindingCreated {
@@ -505,16 +471,7 @@ impl Gateway {
                     }
                     _ => {
                         // Outbound errors/replies: rewrite the source only.
-                        let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                        match self.policy.nat_checksum {
-                            NatChecksumMode::Incremental => {
-                                ipm.set_src_addr_adjusted(wan_addr);
-                            }
-                            NatChecksumMode::FullRecompute => {
-                                ipm.set_src_addr(wan_addr);
-                                ipm.fill_checksum();
-                            }
-                        }
+                        Ipv4Packet::new_unchecked(&mut frame[..]).set_src_addr_adjusted(wan_addr);
                         self.forward(ctx, FwdDir::Up, frame);
                     }
                 }
@@ -531,16 +488,7 @@ impl Gateway {
                         if !self.ip_assocs.contains(&key) {
                             self.ip_assocs.push(key);
                         }
-                        let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                        match self.policy.nat_checksum {
-                            NatChecksumMode::Incremental => {
-                                ipm.set_src_addr_adjusted(wan_addr);
-                            }
-                            NatChecksumMode::FullRecompute => {
-                                ipm.set_src_addr(wan_addr);
-                                ipm.fill_checksum();
-                            }
-                        }
+                        Ipv4Packet::new_unchecked(&mut frame[..]).set_src_addr_adjusted(wan_addr);
                         // Deliberately no transport checksum fixup: SCTP's
                         // CRC-32c survives, DCCP's pseudo-header checksum
                         // breaks — the emergent §4.3 result.
@@ -715,32 +663,15 @@ impl Gateway {
                                 self.drop_frame(ctx, DropReason::TtlExpired, bytes);
                                 return;
                             }
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_dst_addr_adjusted(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl_adjusted(ttl - 1);
-                                    }
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    delta.update_word(dport, internal.1);
-                                    udpm.set_dst_port(internal.1);
-                                    udpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_dst_addr(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl(ttl - 1);
-                                    }
-                                    ipm.fill_checksum();
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    udpm.set_dst_port(internal.1);
-                                    if udpm.checksum() != 0 {
-                                        udpm.fill_checksum(src_addr, internal.0);
-                                    }
-                                }
+                            let mut delta = ipm.set_dst_addr_adjusted(internal.0);
+                            if self.policy.decrement_ttl {
+                                let ttl = ipm.ttl();
+                                ipm.set_ttl_adjusted(ttl - 1);
                             }
+                            let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
+                            delta.update_word(dport, internal.1);
+                            udpm.set_dst_port(internal.1);
+                            udpm.adjust_checksum(delta);
                         }
                         self.forward(ctx, FwdDir::Down, frame);
                     }
@@ -784,32 +715,16 @@ impl Gateway {
                                 self.drop_frame(ctx, DropReason::TtlExpired, bytes);
                                 return;
                             }
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_dst_addr_adjusted(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl_adjusted(ttl - 1);
-                                    }
-                                    let inner = ipm.into_inner();
-                                    let mut tcpm = TcpPacket::new_unchecked(&mut inner[hl..]);
-                                    delta.update_word(dport, internal.1);
-                                    tcpm.set_dst_port(internal.1);
-                                    tcpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_dst_addr(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl(ttl - 1);
-                                    }
-                                    ipm.fill_checksum();
-                                    let inner = ipm.into_inner();
-                                    let mut tcpm = TcpPacket::new_unchecked(&mut inner[hl..]);
-                                    tcpm.set_dst_port(internal.1);
-                                    tcpm.fill_checksum(src_addr, internal.0);
-                                }
+                            let mut delta = ipm.set_dst_addr_adjusted(internal.0);
+                            if self.policy.decrement_ttl {
+                                let ttl = ipm.ttl();
+                                ipm.set_ttl_adjusted(ttl - 1);
                             }
+                            let inner = ipm.into_inner();
+                            let mut tcpm = TcpPacket::new_unchecked(&mut inner[hl..]);
+                            delta.update_word(dport, internal.1);
+                            tcpm.set_dst_port(internal.1);
+                            tcpm.adjust_checksum(delta);
                         }
                         self.forward(ctx, FwdDir::Down, frame);
                     }

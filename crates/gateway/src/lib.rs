@@ -20,5 +20,5 @@ pub use gateway::{Gateway, GatewayStats, LAN_PORT, WAN_PORT};
 pub use nat::{Binding, InboundVerdict, NatProto, NatStats, NatTable, OutboundVerdict};
 pub use policy::{
     DnsProxyPolicy, DnsTcpMode, EndpointScope, ForwardingModel, GatewayPolicy, IcmpErrorKind,
-    IcmpKindSet, IcmpPolicy, NatChecksumMode, PortAssignment, TrafficPattern, UnknownProtoPolicy,
+    IcmpKindSet, IcmpPolicy, PortAssignment, TrafficPattern, UnknownProtoPolicy,
 };

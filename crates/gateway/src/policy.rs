@@ -237,27 +237,6 @@ impl ForwardingModel {
     }
 }
 
-/// How the NAT data plane fixes up checksums after a header rewrite.
-///
-/// Real middleboxes patch checksums incrementally per RFC 1624 — they never
-/// re-sum a full 1460-byte payload per hop — and the two strategies are
-/// bit-identical for packets whose stored checksum was correctly computed.
-/// They differ observably only for packets that arrive with a *broken*
-/// transport checksum the gateway does not verify: incremental update
-/// preserves the brokenness (like real NATs), while a full recompute would
-/// silently repair it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NatChecksumMode {
-    /// RFC 1624 incremental fixup of the mutated words only (the fast
-    /// path; what real gateways do).
-    #[default]
-    Incremental,
-    /// Zero the checksum field and re-sum the entire covered range on
-    /// every rewrite. Kept as a differential oracle for tests and for
-    /// profiling the cost the fast path removes.
-    FullRecompute,
-}
-
 /// DNS-proxy behavior for queries arriving over TCP port 53 (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DnsTcpMode {
@@ -332,8 +311,6 @@ pub struct GatewayPolicy {
     pub binding_setup_cost: Duration,
 
     // ---- IP-level quirks (§4.4) ----
-    /// Checksum fixup strategy for NAT header rewrites.
-    pub nat_checksum: NatChecksumMode,
     /// Decrement the IP TTL when forwarding (some devices do not).
     pub decrement_ttl: bool,
     /// Honor a Record Route option by appending the gateway address.
@@ -365,7 +342,6 @@ impl GatewayPolicy {
             unknown_proto: UnknownProtoPolicy::IpRewrite { allow_inbound: true },
             forwarding: ForwardingModel::wire_speed(),
             binding_setup_cost: Duration::from_micros(50),
-            nat_checksum: NatChecksumMode::Incremental,
             decrement_ttl: true,
             honor_record_route: false,
             dns_proxy: DnsProxyPolicy { udp: true, tcp: DnsTcpMode::Refuse },

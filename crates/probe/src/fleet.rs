@@ -24,6 +24,11 @@
 //! assert_eq!(results.len(), 2);
 //! ```
 //!
+//! Both entry points, [`FleetRunner::run`] and [`FleetRunner::run_fold`],
+//! drive the same worker loop: the calling thread is worker 0, further
+//! workers are scoped threads, and [`Parallelism::Sequential`] is simply
+//! that loop with one worker and nothing spawned.
+//!
 //! **Determinism guarantee:** each device's simulator seed is derived from
 //! the campaign seed and the device *tag* (see
 //! [`TestbedBuilder::campaign_slot`](hgw_testbed::TestbedBuilder)), so probe
@@ -40,8 +45,8 @@
 //!
 //! * **Batched handout** — workers claim devices in contiguous batches
 //!   ([`FleetRunner::batch_size`], auto-sized from fleet size and worker
-//!   count), so the per-device cost of the shared counter and the result
-//!   lock is amortized across the whole batch.
+//!   count), so the per-device cost of the shared counter is amortized
+//!   across the whole batch.
 //! * **Per-worker arena reuse** — each worker keeps a
 //!   [`FramePool`] arena; a finished device's warm
 //!   frame buffers seed the next device's simulator
@@ -54,10 +59,9 @@
 //!   it completes, then merges the accumulators, so fleet-level
 //!   distributions never materialize 10 000 [`DeviceReport`]s.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hgw_core::telemetry::{flight_dump_dir, telemetry_enabled_from_env, Histogram};
 use hgw_core::{
@@ -528,7 +532,8 @@ impl<'d> FleetRunner<'d> {
     /// `clamp(devices / (workers × 8), 1, 256)` — one device per claim for
     /// the 34-device Table 1 fleet (preserving its scheduling behavior),
     /// growing toward 256 for mega-fleets so handout overhead amortizes
-    /// while each worker still claims ~8 batches for load balance.
+    /// while each worker still claims ~8 batches for load balance. A
+    /// single worker ignores the setting and claims the whole fleet at once.
     /// Batching never affects results, only scheduling.
     pub fn batch_size(mut self, batch: usize) -> FleetRunner<'d> {
         self.batch_size = Some(batch.max(1));
@@ -538,8 +543,9 @@ impl<'d> FleetRunner<'d> {
     /// The batch size a campaign with `workers` workers resolves to.
     fn resolve_batch(&self, workers: usize) -> usize {
         match self.batch_size {
+            _ if workers <= 1 => self.devices.len().max(1),
             Some(n) => n.max(1),
-            None => (self.devices.len() / (workers.max(1) * 8)).clamp(1, 256),
+            None => (self.devices.len() / (workers * 8)).clamp(1, 256),
         }
     }
 
@@ -600,23 +606,17 @@ impl<'d> FleetRunner<'d> {
         &self,
         probe: impl Fn(&mut Testbed, &DeviceProfile) -> R + Sync,
     ) -> Result<FleetReport<R>, FleetError> {
-        let workers = self.parallelism.worker_count(self.devices.len());
-        if workers <= 1 {
-            let mut probe = probe;
-            return self.run_on_calling_thread(&mut probe);
-        }
-        self.run_on_pool(workers, &probe)
-    }
-
-    /// Sequential-only variant of [`FleetRunner::run`] for stateful
-    /// (`FnMut`) probes that fold results across devices. Ignores the
-    /// configured [`Parallelism`] and runs everything on the calling
-    /// thread in slot order.
-    pub fn run_mut<R>(
-        &self,
-        mut probe: impl FnMut(&mut Testbed, &DeviceProfile) -> R,
-    ) -> Result<FleetReport<R>, FleetError> {
-        self.run_on_calling_thread(&mut probe)
+        let (reports, scheduling) = self.execute(
+            probe,
+            Vec::new,
+            |reports: &mut Vec<DeviceReport<R>>, slot, worker, (outcome, metrics, spans)| {
+                let tag = self.devices[slot].tag.to_string();
+                reports.push(DeviceReport { tag, slot, worker, outcome, metrics, spans });
+            },
+        )?;
+        let mut devices: Vec<_> = reports.into_iter().flatten().collect();
+        devices.sort_unstable_by_key(|d| d.slot);
+        Ok(FleetReport { devices, scheduling })
     }
 
     /// Streaming aggregation: runs `probe` against every device and folds
@@ -625,11 +625,13 @@ impl<'d> FleetRunner<'d> {
     /// materializing 10 000 [`DeviceReport`]s (and their span timelines)
     /// would dwarf the aggregate the caller actually wants.
     ///
-    /// Each worker builds its own accumulator with `init` and `fold`s its
-    /// devices into it as they finish; when the queue drains, the
-    /// per-worker accumulators are `merge`d in worker-index order. Panicked
-    /// devices are collected as [`FoldReport::failures`] (slot order), not
-    /// folded.
+    /// Each worker builds its own accumulator with `init` just before its
+    /// first device and `fold`s its devices into it as they finish; when
+    /// the queue drains, the per-worker accumulators are `merge`d in
+    /// worker-index order. `merge` is never called when only one
+    /// accumulator exists (one worker, or only one worker claimed a
+    /// device). Panicked devices are collected as
+    /// [`FoldReport::failures`] (slot order), not folded.
     ///
     /// **Determinism contract:** which devices a worker gets is
     /// schedule-dependent, so the aggregate is bit-identical across
@@ -649,282 +651,110 @@ impl<'d> FleetRunner<'d> {
         R: Send,
         A: Send,
     {
-        let workers = self.parallelism.worker_count(self.devices.len());
-        let start = std::time::Instant::now();
-        if workers <= 1 {
-            let mut probe = probe;
-            let mut acc = init();
-            let mut failures = Vec::new();
-            let mut arena = FramePool::new();
-            let (mut busy_ms, mut pool_reused, mut folded) = (0.0, 0u64, 0usize);
-            for (slot, device) in self.devices.iter().enumerate() {
-                let t0 = std::time::Instant::now();
-                pool_reused += (arena.retained() > 0) as u64;
-                let (outcome, metrics, _spans) =
-                    self.run_device(device, slot, &mut probe, &mut arena)?;
-                busy_ms += t0.elapsed().as_secs_f64() * 1e3;
+        let (states, scheduling) = self.execute(
+            probe,
+            || (init(), Vec::new()),
+            |(acc, failures): &mut (A, Vec<DeviceFailure>), slot, worker, (outcome, metrics, _)| {
                 match outcome {
                     Ok(result) => {
-                        folded += 1;
-                        fold(&mut acc, FleetSample { slot, worker: 0, device, result, metrics });
+                        let device = &self.devices[slot];
+                        fold(acc, FleetSample { slot, worker, device, result, metrics });
                     }
                     Err(f) => failures.push(f),
                 }
-            }
-            let per_worker = if self.devices.is_empty() {
-                Vec::new()
-            } else {
-                vec![WorkerStats {
-                    worker: 0,
-                    devices_run: self.devices.len(),
-                    busy_ms,
-                    batches: 1,
-                    pool_reused,
-                }]
-            };
-            return Ok(FoldReport {
-                aggregate: acc,
-                folded,
-                failures,
-                scheduling: self.scheduling_report(
-                    1,
-                    self.devices.len().max(1),
-                    start.elapsed().as_secs_f64() * 1e3,
-                    per_worker,
-                ),
-            });
-        }
-
-        type WorkerOut<A> = Result<(A, Vec<DeviceFailure>, WorkerStats), FleetError>;
-        let batch = self.resolve_batch(workers);
-        let next = AtomicUsize::new(0);
-        let outs: Mutex<Vec<WorkerOut<A>>> = Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let (next, outs, probe, init, fold) = (&next, &outs, &probe, &init, &fold);
-                scope.spawn(move || {
-                    let mut local = |tb: &mut Testbed, d: &DeviceProfile| probe(tb, d);
-                    let mut arena = FramePool::new();
-                    let mut acc = init();
-                    let mut failures = Vec::new();
-                    let mut ws = WorkerStats {
-                        worker,
-                        devices_run: 0,
-                        busy_ms: 0.0,
-                        batches: 0,
-                        pool_reused: 0,
-                    };
-                    let run = loop {
-                        let lo = next.fetch_add(batch, Ordering::Relaxed);
-                        if lo >= self.devices.len() {
-                            break Ok(());
-                        }
-                        let hi = (lo + batch).min(self.devices.len());
-                        ws.batches += 1;
-                        let t0 = std::time::Instant::now();
-                        let mut err = None;
-                        for slot in lo..hi {
-                            let device = &self.devices[slot];
-                            ws.pool_reused += (arena.retained() > 0) as u64;
-                            match self.run_device(device, slot, &mut local, &mut arena) {
-                                Ok((Ok(result), metrics, _spans)) => {
-                                    fold(
-                                        &mut acc,
-                                        FleetSample { slot, worker, device, result, metrics },
-                                    );
-                                }
-                                Ok((Err(f), _, _)) => failures.push(f),
-                                Err(e) => {
-                                    err = Some(e);
-                                    break;
-                                }
-                            }
-                            ws.devices_run += 1;
-                        }
-                        ws.busy_ms += t0.elapsed().as_secs_f64() * 1e3;
-                        if let Some(e) = err {
-                            break Err(e);
-                        }
-                    };
-                    outs.lock().expect("fleet fold lock").push(run.map(|()| (acc, failures, ws)));
-                });
-            }
-        });
-        let mut outs = outs.into_inner().expect("fleet fold lock");
-        // Merge in worker-index order so the only schedule dependence left
-        // is which devices each worker folded.
-        outs.sort_by_key(|o| o.as_ref().map(|(_, _, ws)| ws.worker).unwrap_or(usize::MAX));
-        let mut aggregate: Option<A> = None;
+            },
+        )?;
+        let mut aggregate = None;
         let mut failures = Vec::new();
-        let mut per_worker = Vec::with_capacity(workers);
-        let mut folded = 0usize;
-        for out in outs {
-            let (acc, mut f, ws) = out?;
-            folded += ws.devices_run - f.len();
+        for (acc, mut f) in states {
             failures.append(&mut f);
-            per_worker.push(ws);
             match &mut aggregate {
                 Some(total) => merge(total, acc),
                 None => aggregate = Some(acc),
             }
         }
-        failures.sort_by_key(|f| f.slot);
+        failures.sort_unstable_by_key(|f| f.slot);
         Ok(FoldReport {
-            aggregate: aggregate.unwrap_or_else(&init),
-            folded,
+            aggregate: aggregate.unwrap_or_else(init),
+            folded: self.devices.len() - failures.len(),
             failures,
-            scheduling: self.scheduling_report(
-                workers,
-                batch,
-                start.elapsed().as_secs_f64() * 1e3,
-                per_worker,
-            ),
+            scheduling,
         })
     }
 
-    fn run_on_calling_thread<R>(
+    /// The one fleet execution loop behind [`FleetRunner::run`] and
+    /// [`FleetRunner::run_fold`].
+    ///
+    /// Each worker claims batches of slots from a shared counter, runs
+    /// every claimed device through [`FleetRunner::run_device`] on its own
+    /// frame-pool arena, and hands `(slot, worker, outcome)` to `sink`
+    /// together with its private state, which `init` builds just before
+    /// the worker's first device. The calling thread is worker 0; only
+    /// workers 1.. are spawned, so a single worker runs without spawning.
+    /// Returns the states of the workers that ran a device, in
+    /// worker-index order. A worker stops at its first infrastructure
+    /// error; the first error in worker-index order fails the campaign.
+    fn execute<R, W: Send>(
         &self,
-        probe: &mut dyn FnMut(&mut Testbed, &DeviceProfile) -> R,
-    ) -> Result<FleetReport<R>, FleetError> {
+        probe: impl Fn(&mut Testbed, &DeviceProfile) -> R + Sync,
+        init: impl Fn() -> W + Sync,
+        sink: impl Fn(&mut W, usize, usize, DeviceOutcome<R>) + Sync,
+    ) -> Result<(Vec<W>, SchedulingReport), FleetError> {
         let start = std::time::Instant::now();
-        let mut reports = Vec::with_capacity(self.devices.len());
-        let mut arena = FramePool::new();
-        let (mut busy_ms, mut pool_reused) = (0.0, 0u64);
-        for (slot, device) in self.devices.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            pool_reused += (arena.retained() > 0) as u64;
-            let (outcome, metrics, spans) = self.run_device(device, slot, probe, &mut arena)?;
-            busy_ms += t0.elapsed().as_secs_f64() * 1e3;
-            reports.push(DeviceReport {
-                tag: device.tag.to_string(),
-                slot,
-                worker: 0,
-                outcome,
-                metrics,
-                spans,
-            });
-        }
-        let per_worker = if self.devices.is_empty() {
-            Vec::new()
-        } else {
-            vec![WorkerStats {
-                worker: 0,
-                devices_run: self.devices.len(),
-                busy_ms,
-                batches: 1,
-                pool_reused,
-            }]
-        };
-        Ok(FleetReport {
-            devices: reports,
-            scheduling: self.scheduling_report(
-                1,
-                self.devices.len().max(1),
-                start.elapsed().as_secs_f64() * 1e3,
-                per_worker,
-            ),
-        })
-    }
-
-    fn run_on_pool<R: Send>(
-        &self,
-        workers: usize,
-        probe: &(impl Fn(&mut Testbed, &DeviceProfile) -> R + Sync),
-    ) -> Result<FleetReport<R>, FleetError> {
-        type Slot<R> = Option<(usize, Result<DeviceOutcome<R>, FleetError>)>;
-        let start = std::time::Instant::now();
+        let workers = self.parallelism.worker_count(self.devices.len());
         let batch = self.resolve_batch(workers);
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Slot<R>>> =
-            Mutex::new((0..self.devices.len()).map(|_| None).collect());
-        let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let (next, slots, stats) = (&next, &slots, &stats);
-                scope.spawn(move || {
-                    // Each worker gets its own `FnMut` adapter over the
-                    // shared probe so the per-device path is one code path
-                    // for all modes, plus a frame-buffer arena carried
-                    // across its devices.
-                    let mut local = |tb: &mut Testbed, d: &DeviceProfile| probe(tb, d);
-                    let mut arena = FramePool::new();
-                    let mut ws = WorkerStats {
-                        worker,
-                        devices_run: 0,
-                        busy_ms: 0.0,
-                        batches: 0,
-                        pool_reused: 0,
-                    };
-                    let mut claimed: Vec<(usize, Result<DeviceOutcome<R>, FleetError>)> =
-                        Vec::with_capacity(batch);
-                    loop {
-                        let lo = next.fetch_add(batch, Ordering::Relaxed);
-                        if lo >= self.devices.len() {
-                            break;
-                        }
-                        let hi = (lo + batch).min(self.devices.len());
-                        ws.batches += 1;
-                        let t0 = std::time::Instant::now();
-                        for slot in lo..hi {
-                            ws.pool_reused += (arena.retained() > 0) as u64;
-                            let out =
-                                self.run_device(&self.devices[slot], slot, &mut local, &mut arena);
-                            claimed.push((slot, out));
-                        }
-                        ws.busy_ms += t0.elapsed().as_secs_f64() * 1e3;
-                        ws.devices_run += hi - lo;
-                        // One lock round-trip per *batch*, not per device.
-                        let mut locked = slots.lock().expect("fleet slot lock");
-                        for (slot, out) in claimed.drain(..) {
-                            locked[slot] = Some((worker, out));
-                        }
-                    }
-                    stats.lock().expect("fleet stats lock").push(ws);
-                });
+        let work = |worker: usize| -> Result<(Option<W>, WorkerStats), FleetError> {
+            let mut arena = FramePool::new();
+            let mut state = None;
+            let mut ws =
+                WorkerStats { worker, devices_run: 0, busy_ms: 0.0, batches: 0, pool_reused: 0 };
+            loop {
+                let lo = next.fetch_add(batch, Ordering::Relaxed);
+                if lo >= self.devices.len() {
+                    return Ok((state, ws));
+                }
+                let hi = (lo + batch).min(self.devices.len());
+                ws.batches += 1;
+                let t0 = std::time::Instant::now();
+                for slot in lo..hi {
+                    let state = state.get_or_insert_with(&init);
+                    ws.pool_reused += (arena.retained() > 0) as u64;
+                    let out = self.run_device(&self.devices[slot], slot, &probe, &mut arena)?;
+                    sink(state, slot, worker, out);
+                    ws.devices_run += 1;
+                }
+                ws.busy_ms += t0.elapsed().as_secs_f64() * 1e3;
             }
+        };
+        let outs: Vec<_> = std::thread::scope(|scope| {
+            let work = &work;
+            let spawned: Vec<_> =
+                (1..workers).map(|worker| scope.spawn(move || work(worker))).collect();
+            let first = work(0);
+            let rest = spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+            std::iter::once(first).chain(rest).collect()
         });
-        let mut per_worker = stats.into_inner().expect("fleet stats lock");
-        per_worker.sort_by_key(|w| w.worker);
-        let slots = slots.into_inner().expect("fleet slot lock");
-        let mut reports = Vec::with_capacity(self.devices.len());
-        for (slot, cell) in slots.into_iter().enumerate() {
-            let (worker, out) = cell.expect("every slot claimed by a worker");
-            let (outcome, metrics, spans) = out?;
-            reports.push(DeviceReport {
-                tag: self.devices[slot].tag.to_string(),
-                slot,
-                worker,
-                outcome,
-                metrics,
-                spans,
-            });
+        let mut states = Vec::with_capacity(workers);
+        let mut per_worker = Vec::with_capacity(workers);
+        for out in outs {
+            let (state, ws) = out?;
+            states.extend(state);
+            per_worker.push(ws);
         }
-        Ok(FleetReport {
-            devices: reports,
-            scheduling: self.scheduling_report(
-                workers,
-                batch,
-                start.elapsed().as_secs_f64() * 1e3,
-                per_worker,
-            ),
-        })
-    }
-
-    fn scheduling_report(
-        &self,
-        workers: usize,
-        batch_size: usize,
-        wall_ms: f64,
-        per_worker: Vec<WorkerStats>,
-    ) -> SchedulingReport {
-        SchedulingReport {
+        if self.devices.is_empty() {
+            // Nothing was scheduled, so no worker reports.
+            per_worker.clear();
+        }
+        let scheduling = SchedulingReport {
             parallelism: self.parallelism,
             workers,
             host_parallelism: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            batch_size,
-            wall_ms,
+            batch_size: batch,
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
             per_worker,
-        }
+        };
+        Ok((states, scheduling))
     }
 
     /// Builds one device's testbed, runs the probe with panic isolation,
@@ -937,7 +767,7 @@ impl<'d> FleetRunner<'d> {
         &self,
         device: &DeviceProfile,
         slot: usize,
-        probe: &mut dyn FnMut(&mut Testbed, &DeviceProfile) -> R,
+        probe: &dyn Fn(&mut Testbed, &DeviceProfile) -> R,
         arena: &mut FramePool,
     ) -> Result<DeviceOutcome<R>, FleetError> {
         let failure = |payload| DeviceFailure {
@@ -1360,7 +1190,7 @@ mod tests {
             .parallelism(Parallelism::Sequential)
             .telemetry(true)
             .dump_dir(&dir)
-            .run_mut(|tb, d| {
+            .run(|tb, d| {
                 crate::dns::measure_dns(tb);
                 if d.tag == devices[1].tag {
                     panic!("induced failure for the flight recorder test");
@@ -1380,23 +1210,6 @@ mod tests {
         assert!(json_text.contains("hgw-flight-recorder/1"));
         assert!(json_text.contains("induced failure"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_mut_supports_stateful_probes() {
-        let devices = all_devices();
-        let mut seen = Vec::new();
-        let report = FleetRunner::new(&devices[..3])
-            .seed(5)
-            .run_mut(|tb, d| {
-                seen.push(d.tag.to_string());
-                tb.index
-            })
-            .unwrap();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(report.scheduling.workers, 1);
-        let indices: Vec<u8> = report.into_results().unwrap().iter().map(|(_, i)| *i).collect();
-        assert_eq!(indices, vec![1, 2, 3]);
     }
 
     #[test]
@@ -1467,5 +1280,72 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, FleetError::ObserverMismatch { tag: devices[0].tag.to_string() });
+
+        // Tampering on one slot of a multi-worker fleet fails the campaign
+        // the same way through both entry points.
+        let runner = FleetRunner::new(&devices[..4])
+            .instrumented(true)
+            .parallelism(Parallelism::Fixed(2))
+            .batch_size(1);
+        let tamper = |tb: &mut Testbed, d: &DeviceProfile| {
+            if d.tag == devices[2].tag {
+                tb.sim.detach_observer();
+            }
+        };
+        let missing = FleetError::ObserverMissing { tag: devices[2].tag.to_string() };
+        assert_eq!(runner.run(tamper).unwrap_err(), missing);
+        let err = runner.run_fold(tamper, || (), |_, _| {}, |_, _| {}).unwrap_err();
+        assert_eq!(err, missing);
+    }
+
+    #[test]
+    fn run_and_run_fold_agree_per_slot_and_on_failures() {
+        let devices = all_devices();
+        let n = 6;
+        // A single worker ignores batch_size and claims the fleet at once.
+        for (parallelism, workers, batch) in
+            [(Parallelism::Sequential, 1, n), (Parallelism::Fixed(3), 3, 2)]
+        {
+            // Each device waits until every worker has one in flight, so
+            // each worker runs exactly one batch.
+            let in_flight = std::sync::Barrier::new(workers);
+            let probe = |tb: &mut Testbed, d: &DeviceProfile| {
+                in_flight.wait();
+                assert_ne!(d.tag, devices[3].tag, "induced failure");
+                (tb.index, tb.client_addr())
+            };
+            let runner =
+                FleetRunner::new(&devices[..n]).seed(9).parallelism(parallelism).batch_size(2);
+            let report = runner.run(probe).unwrap();
+            let folded = runner
+                .run_fold(
+                    probe,
+                    Vec::new,
+                    |acc, s| acc.push((s.slot, s.result)),
+                    |acc, mut other| acc.append(&mut other),
+                )
+                .unwrap();
+            let ran: Vec<_> = report
+                .devices
+                .iter()
+                .filter_map(|d| Some((d.slot, *d.outcome.as_ref().ok()?)))
+                .collect();
+            let mut per_slot = folded.aggregate;
+            per_slot.sort_unstable_by_key(|&(slot, _)| slot);
+            assert_eq!(per_slot, ran, "{parallelism}");
+            let failures: Vec<_> = report.failures().into_iter().cloned().collect();
+            assert_eq!(folded.failures, failures, "{parallelism}");
+            assert_eq!(failures.len(), 1, "{parallelism}");
+            assert_eq!(failures[0].slot, 3);
+            assert!(failures[0].panic.contains("induced failure"));
+            assert_eq!(folded.folded, n - failures.len(), "{parallelism}");
+            for s in [&report.scheduling, &folded.scheduling] {
+                assert_eq!((s.workers, s.batch_size), (workers, batch), "{parallelism}");
+                assert_eq!(s.per_worker.len(), workers, "{parallelism}");
+                for w in &s.per_worker {
+                    assert_eq!((w.batches, w.devices_run), (1, batch), "{parallelism}: {w:?}");
+                }
+            }
+        }
     }
 }

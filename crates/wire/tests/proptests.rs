@@ -273,7 +273,8 @@ proptest! {
     // Differential oracles for the RFC 1624 incremental NAT fast path: a
     // randomized rewrite applied incrementally must produce a buffer that is
     // byte-for-byte identical to setting the fields and recomputing every
-    // checksum from scratch (the `NatChecksumMode::FullRecompute` oracle).
+    // checksum from scratch. The gateway only ships the incremental path, so
+    // these tests are where the full-recompute reference lives.
 
     #[test]
     fn nat_tcp_rewrite_incremental_matches_full_recompute(
@@ -404,7 +405,7 @@ proptest! {
         }
         let mut udp = UdpPacket::new_unchecked(&mut full[hl..]);
         udp.set_src_port(ext_port);
-        // FullRecompute leaves a zero checksum alone (RFC 3022 §4.1).
+        // The reference leaves a zero checksum alone (RFC 3022 §4.1).
 
         prop_assert_eq!(inc, full);
     }

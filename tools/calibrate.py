@@ -423,7 +423,6 @@ def emit():
                     buffer_down: {buf} * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 }},
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: {ttl_dec},
                 honor_record_route: {rr},
                 dns_proxy: DnsProxyPolicy {{ udp: true, tcp: {dns_tcp} }},
