@@ -15,6 +15,7 @@
 #![deny(missing_docs)]
 
 pub mod dispatch;
+mod hash;
 pub mod link;
 pub mod node;
 pub mod pcap;
@@ -27,6 +28,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use dispatch::SimNode;
+pub use hash::{FixedHasher, FixedMap};
 pub use link::{Dir, FaultConfig, Link, LinkConfig, LinkDirStats, LinkId};
 pub use node::{Action, Node, NodeCtx, NodeId, PortId, TimerToken};
 pub use pcap::{write_pcap, PcapWriter};

@@ -25,11 +25,11 @@
 //! and driven side-by-side over randomized policy/flow sequences to pin the
 //! equivalence.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use hgw_core::{
-    BindingLifecycle, DropReason, Duration, FlowId, Instant, LifecycleEvent, TimerWheel,
+    BindingLifecycle, DropReason, Duration, FixedMap, FlowId, Instant, LifecycleEvent, TimerWheel,
 };
 
 use crate::policy::{EndpointScope, GatewayPolicy, PortAssignment, TrafficPattern};
@@ -174,69 +174,26 @@ const OCCUPANCY_LOG_CAP: usize = 2048;
 /// exact equality on all four fields.
 type QuarantineKey = (NatProto, Endpoint, Endpoint, u16);
 
-/// Multiply-rotate hasher for the table indices. NAT keys are tiny
-/// fixed-size tuples of trusted simulator state, so SipHash's DoS
-/// resistance buys nothing here while costing more than the bucket probe
-/// itself; a fixed seed also keeps hashing deterministic across runs.
-#[derive(Default)]
-struct NatHasher(u64);
-
-impl NatHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        const SEED: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-}
-
-impl std::hash::Hasher for NatHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64)
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.add(n as u64)
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64)
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n)
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64)
-    }
-}
-
-/// A `HashMap` over [`NatHasher`]. Never iterated (all order-bearing walks
-/// go through the slab), so the bucket layout is unobservable.
-type NatMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<NatHasher>>;
-
 /// The NAPT table.
 #[derive(Debug)]
 pub struct NatTable {
     /// Dense slab of live bindings; order evolves by push/`swap_remove`
     /// exactly as in the reference linear implementation.
     bindings: Vec<Binding>,
+    // The index maps below are never iterated: every order-bearing walk
+    // goes through the slab, so their bucket layout is unobservable.
     /// Stable id of `bindings[i]` (parallel to `bindings`).
     ids: Vec<u64>,
     /// Current slab position of each live id.
-    pos_of: NatMap<u64, usize>,
+    pos_of: FixedMap<u64, usize>,
     /// Exact session index: `(proto, internal, remote)` → id. Unique —
     /// outbound refreshes an existing session instead of creating a twin.
-    by_session: NatMap<(NatProto, Endpoint, Endpoint), u64>,
+    by_session: FixedMap<(NatProto, Endpoint, Endpoint), u64>,
     /// Mapping index: `(proto, internal)` → ids sharing that internal
     /// endpoint (the RFC 4787 §4.1 mapping-reuse candidates).
-    by_internal: NatMap<(NatProto, Endpoint), Vec<u64>>,
+    by_internal: FixedMap<(NatProto, Endpoint), Vec<u64>>,
     /// External index: `(proto, external_port)` → ids sharing the mapping.
-    by_external: NatMap<(NatProto, u16), Vec<u64>>,
+    by_external: FixedMap<(NatProto, u16), Vec<u64>>,
     /// Time-ordered expiry queue over live bindings: a timing wheel of
     /// `(expires_at, binding id)` entries with *lazy cancellation*. A
     /// binding that is removed or re-timed leaves its old entry behind;
@@ -251,7 +208,7 @@ pub struct NatTable {
     /// Recently expired flows, kept so the same flow can be recognized
     /// (reuse vs. quarantine — the UDP-4 behaviors). Value counts how many
     /// expired bindings share the key.
-    quarantine: NatMap<QuarantineKey, u32>,
+    quarantine: FixedMap<QuarantineKey, u32>,
     /// Time-ordered pruning queue over quarantine entries, keyed by the
     /// expiry instant of the underlying binding. Entries are never
     /// cancelled, only pruned in order, so no lazy filtering is needed.
@@ -299,14 +256,14 @@ impl NatTable {
         NatTable {
             bindings: Vec::new(),
             ids: Vec::new(),
-            pos_of: NatMap::default(),
-            by_session: NatMap::default(),
-            by_internal: NatMap::default(),
-            by_external: NatMap::default(),
+            pos_of: FixedMap::default(),
+            by_session: FixedMap::default(),
+            by_internal: FixedMap::default(),
+            by_external: FixedMap::default(),
             expiry: TimerWheel::new(),
             live: [0; 3],
             next_id: 0,
-            quarantine: NatMap::default(),
+            quarantine: FixedMap::default(),
             quarantine_by_time: TimerWheel::new(),
             wheel_seq: 0,
             next_seq_port: SEQ_BASE,

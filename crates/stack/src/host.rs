@@ -8,10 +8,11 @@
 //! server roles. Experiment drivers interact with it through
 //! [`Simulator::with_node`](hgw_core::Simulator::with_node).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use hgw_core::{impl_node_downcast, Instant, Node, NodeCtx, PortId, TimerToken};
+use hgw_core::{impl_node_downcast, FixedMap, Instant, Node, NodeCtx, PortId, TimerToken};
 use hgw_wire::dccp::DccpRepr;
 use hgw_wire::dhcp::{DhcpMessage, CLIENT_PORT, SERVER_PORT};
 use hgw_wire::dns::DnsMessage;
@@ -83,6 +84,133 @@ struct UdpSocketState {
     echo: bool,
 }
 
+/// The first port of the ephemeral range (RFC 6335), which runs to 65 535.
+const EPHEMERAL_BASE: u16 = 49_152;
+
+/// Per-slot bookkeeping of the [`TcpTable`].
+#[derive(Default)]
+struct TcpSlotMeta {
+    /// The slot is in [`TcpTable::dirty`].
+    dirty: bool,
+    /// The key the slot is filed under in [`TcpTable::deadlines`], if any.
+    deadline: Option<Instant>,
+}
+
+/// The TCP sockets of a host plus the indices that keep the cost of one
+/// inbound segment independent of how many sockets are live (DESIGN.md,
+/// "The host socket table"). A socket is *clean* when nothing has touched
+/// it since its last visit by [`Host::poll`]; visiting a clean socket
+/// before its deadline does nothing, so `poll` skips it.
+#[derive(Default)]
+struct TcpTable {
+    /// Sockets by slot; a [`TcpHandle`] is the slot number.
+    sockets: Vec<Option<TcpSocket>>,
+    /// Parallel to `sockets`.
+    meta: Vec<TcpSlotMeta>,
+    /// [`tuple_key`] → slot of every live socket. Looked up, never
+    /// iterated; tuples are unique, so a hit is the slot a scan in slot
+    /// order would find first.
+    by_tuple: FixedMap<(u64, u32), usize>,
+    /// Slots touched since the last poll, each once (removed ones too).
+    dirty: Vec<usize>,
+    /// `(poll_at, slot)` of every clean live socket with a deadline.
+    deadlines: BTreeSet<(Instant, usize)>,
+    /// The empty slots, lowest first.
+    free: BinaryHeap<Reverse<usize>>,
+    /// Scratch list of the slots one poll visits.
+    visits: Vec<usize>,
+}
+
+/// A connection's `(local, remote)` tuple packed into two words, so the
+/// demux hashes two integers instead of both addresses byte by byte.
+fn tuple_key(local: SocketAddrV4, remote: SocketAddrV4) -> (u64, u32) {
+    let ports = u64::from(local.port()) << 16 | u64::from(remote.port());
+    (u64::from(u32::from(*local.ip())) << 32 | ports, u32::from(*remote.ip()))
+}
+
+impl TcpTable {
+    fn get(&self, idx: usize) -> &TcpSocket {
+        self.sockets[idx].as_ref().expect("closed socket")
+    }
+
+    /// Mutable access; marks the slot dirty so the next poll visits it.
+    fn touch(&mut self, idx: usize) -> &mut TcpSocket {
+        let sock = self.sockets[idx].as_mut().expect("closed socket");
+        let meta = &mut self.meta[idx];
+        if !meta.dirty {
+            meta.dirty = true;
+            self.dirty.push(idx);
+            if let Some(at) = meta.deadline.take() {
+                self.deadlines.remove(&(at, idx));
+            }
+        }
+        sock
+    }
+
+    /// Stores `socket` in the lowest free slot and marks it dirty.
+    fn insert(&mut self, socket: TcpSocket) -> usize {
+        let idx = match self.free.pop() {
+            Some(Reverse(idx)) => idx,
+            None => {
+                self.sockets.push(None);
+                self.meta.push(TcpSlotMeta::default());
+                self.sockets.len() - 1
+            }
+        };
+        let prev = self.by_tuple.insert(tuple_key(socket.local, socket.remote), idx);
+        assert!(prev.is_none(), "TCP tuple {} -> {} inserted twice", socket.local, socket.remote);
+        self.sockets[idx] = Some(socket);
+        self.touch(idx);
+        idx
+    }
+
+    /// Empties slot `idx`, returning its socket if it held one.
+    fn remove(&mut self, idx: usize) -> Option<TcpSocket> {
+        let sock = self.sockets[idx].take()?;
+        self.by_tuple.remove(&tuple_key(sock.local, sock.remote));
+        if let Some(at) = self.meta[idx].deadline.take() {
+            self.deadlines.remove(&(at, idx));
+        }
+        self.free.push(Reverse(idx));
+        Some(sock)
+    }
+
+    /// Moves the dirty slots and the slots due at `now` into `out`, sorted
+    /// by slot. Each must be [`settle`](TcpTable::settle)d after its visit.
+    fn take_visits(&mut self, now: Instant, out: &mut Vec<usize>) {
+        for &idx in &self.dirty {
+            self.meta[idx].dirty = false;
+        }
+        out.append(&mut self.dirty);
+        while let Some(&(at, idx)) = self.deadlines.first() {
+            if at > now {
+                break;
+            }
+            self.deadlines.pop_first();
+            self.meta[idx].deadline = None;
+            out.push(idx);
+        }
+        out.sort_unstable();
+    }
+
+    /// Files a visited live slot under its fresh deadline.
+    fn settle(&mut self, idx: usize) {
+        let deadline = self.get(idx).poll_at();
+        self.meta[idx].deadline = deadline;
+        if let Some(at) = deadline {
+            self.deadlines.insert((at, idx));
+        }
+    }
+
+    /// The earliest deadline over every live socket.
+    fn poll_at(&self) -> Option<Instant> {
+        let clean = self.deadlines.first().map(|&(at, _)| at);
+        let dirty =
+            self.dirty.iter().filter_map(|&idx| self.sockets[idx].as_ref()?.poll_at()).min();
+        clean.into_iter().chain(dirty).min()
+    }
+}
+
 /// A complete simulated endpoint.
 pub struct Host {
     /// Hostname for diagnostics.
@@ -94,9 +222,11 @@ pub struct Host {
 
     udp_sockets: Vec<Option<UdpSocketState>>,
     next_ephemeral: u16,
+    /// Live UDP and TCP sockets per local port, for ephemeral ports only.
+    port_refs: FixedMap<u16, u32>,
 
-    tcp_sockets: Vec<Option<TcpSocket>>,
-    tcp_apps: HashMap<usize, TcpApp>,
+    tcp_table: TcpTable,
+    tcp_apps: FixedMap<usize, TcpApp>,
     tcp_listeners: Vec<TcpListener>,
     accepted: Vec<TcpHandle>,
     /// Default configuration for new sockets.
@@ -147,8 +277,9 @@ impl Host {
             routes: RoutingTable::new(),
             udp_sockets: Vec::new(),
             next_ephemeral: 0,
-            tcp_sockets: Vec::new(),
-            tcp_apps: HashMap::new(),
+            port_refs: FixedMap::default(),
+            tcp_table: TcpTable::default(),
+            tcp_apps: FixedMap::default(),
             tcp_listeners: Vec::new(),
             accepted: Vec::new(),
             tcp_config: TcpConfig::default(),
@@ -343,16 +474,22 @@ impl Host {
 
     /// Binds a UDP socket on `port` (any local address).
     pub fn udp_bind(&mut self, port: u16) -> UdpHandle {
-        let state = UdpSocketState { port, bound_addr: None, recv: Vec::new(), echo: false };
-        let idx = free_slot(&mut self.udp_sockets);
-        self.udp_sockets[idx] = Some(state);
-        UdpHandle(idx)
+        self.udp_insert(UdpSocketState { port, bound_addr: None, recv: Vec::new(), echo: false })
     }
 
     /// Binds a UDP socket to a specific local address (an interface address
     /// or an alias) and port.
     pub fn udp_bind_at(&mut self, addr: Ipv4Addr, port: u16) -> UdpHandle {
-        let state = UdpSocketState { port, bound_addr: Some(addr), recv: Vec::new(), echo: false };
+        self.udp_insert(UdpSocketState {
+            port,
+            bound_addr: Some(addr),
+            recv: Vec::new(),
+            echo: false,
+        })
+    }
+
+    fn udp_insert(&mut self, state: UdpSocketState) -> UdpHandle {
+        self.port_ref(state.port);
         let idx = free_slot(&mut self.udp_sockets);
         self.udp_sockets[idx] = Some(state);
         UdpHandle(idx)
@@ -403,16 +540,34 @@ impl Host {
 
     /// Closes a UDP socket.
     pub fn udp_close(&mut self, h: UdpHandle) {
-        self.udp_sockets[h.0] = None;
+        if let Some(s) = self.udp_sockets[h.0].take() {
+            self.port_unref(s.port);
+        }
     }
 
+    fn port_ref(&mut self, port: u16) {
+        if port >= EPHEMERAL_BASE {
+            *self.port_refs.entry(port).or_insert(0) += 1;
+        }
+    }
+
+    fn port_unref(&mut self, port: u16) {
+        if port < EPHEMERAL_BASE {
+            return;
+        }
+        let n = self.port_refs.get_mut(&port).expect("port held by a live socket");
+        *n -= 1;
+        if *n == 0 {
+            self.port_refs.remove(&port);
+        }
+    }
+
+    /// The next ephemeral port no live UDP or TCP socket holds.
     fn alloc_ephemeral(&mut self) -> u16 {
         loop {
-            let port = 49_152 + (self.next_ephemeral % 16_384);
+            let port = EPHEMERAL_BASE + (self.next_ephemeral % 16_384);
             self.next_ephemeral = self.next_ephemeral.wrapping_add(1);
-            let in_use = self.udp_sockets.iter().flatten().any(|s| s.port == port)
-                || self.tcp_sockets.iter().flatten().any(|s| s.local.port() == port);
-            if !in_use {
+            if !self.port_refs.contains_key(&port) {
                 return port;
             }
         }
@@ -446,10 +601,14 @@ impl Host {
             config,
             ctx.now(),
         );
-        let idx = free_slot(&mut self.tcp_sockets);
-        self.tcp_sockets[idx] = Some(socket);
+        let idx = self.tcp_insert(socket);
         self.poll(ctx);
         TcpHandle(idx)
+    }
+
+    fn tcp_insert(&mut self, socket: TcpSocket) -> usize {
+        self.port_ref(socket.local.port());
+        self.tcp_table.insert(socket)
     }
 
     /// Starts listening on `port` with the given accept-time application.
@@ -469,18 +628,18 @@ impl Host {
 
     /// Access to a TCP socket.
     pub fn tcp(&self, h: TcpHandle) -> &TcpSocket {
-        self.tcp_sockets[h.0].as_ref().expect("closed socket")
+        self.tcp_table.get(h.0)
     }
 
     /// Mutable access to a TCP socket (driver-side reads/writes); callers
     /// should invoke [`Host::kick`] afterwards so output is flushed.
     pub fn tcp_mut(&mut self, h: TcpHandle) -> &mut TcpSocket {
-        self.tcp_sockets[h.0].as_mut().expect("closed socket")
+        self.tcp_table.touch(h.0)
     }
 
     /// True if the handle still refers to a socket.
     pub fn tcp_is_alive(&self, h: TcpHandle) -> bool {
-        self.tcp_sockets.get(h.0).map(|s| s.is_some()).unwrap_or(false)
+        self.tcp_table.sockets.get(h.0).map(|s| s.is_some()).unwrap_or(false)
     }
 
     /// Queues data on a connection and flushes output.
@@ -503,7 +662,9 @@ impl Host {
 
     /// Releases a fully closed socket slot.
     pub fn tcp_remove(&mut self, h: TcpHandle) {
-        self.tcp_sockets[h.0] = None;
+        if let Some(sock) = self.tcp_table.remove(h.0) {
+            self.port_unref(sock.local.port());
+        }
         self.tcp_apps.remove(&h.0);
     }
 
@@ -676,29 +837,33 @@ impl Host {
             }
         }
 
-        // TCP sockets.
-        for idx in 0..self.tcp_sockets.len() {
-            let Some(sock) = self.tcp_sockets[idx].as_mut() else { continue };
+        // TCP sockets: only those touched since the last poll or due now.
+        let mut visits = std::mem::take(&mut self.tcp_table.visits);
+        self.tcp_table.take_visits(now, &mut visits);
+        for &idx in &visits {
+            let Some(sock) = self.tcp_table.sockets[idx].as_mut() else { continue };
             sock.on_timer(now);
+            // DNS-over-TCP reads 4 KiB per poll; more input keeps it dirty.
+            let mut input_left = false;
             // Application pumps.
             match self.tcp_apps.get_mut(&idx) {
                 Some(TcpApp::Echo) => {
                     loop {
-                        let data = self.tcp_sockets[idx].as_mut().unwrap().recv(4096);
+                        let data = self.tcp_table.sockets[idx].as_mut().unwrap().recv(4096);
                         if data.is_empty() {
                             break;
                         }
-                        self.tcp_sockets[idx].as_mut().unwrap().send(&data);
+                        self.tcp_table.sockets[idx].as_mut().unwrap().send(&data);
                     }
                     // A well-behaved echo service closes when the peer does.
-                    let sock = self.tcp_sockets[idx].as_mut().unwrap();
+                    let sock = self.tcp_table.sockets[idx].as_mut().unwrap();
                     if sock.state() == crate::tcp::TcpState::CloseWait && sock.send_queue_len() == 0
                     {
                         sock.close();
                     }
                 }
                 Some(TcpApp::DnsTcp { inbuf }) => {
-                    let sock = self.tcp_sockets[idx].as_mut().unwrap();
+                    let sock = self.tcp_table.sockets[idx].as_mut().unwrap();
                     let data = sock.recv(4096);
                     inbuf.extend_from_slice(&data);
                     let mut responses = Vec::new();
@@ -708,14 +873,15 @@ impl Host {
                             responses.push(zone.answer(&query).emit_tcp());
                         }
                     }
-                    let sock = self.tcp_sockets[idx].as_mut().unwrap();
+                    let sock = self.tcp_table.sockets[idx].as_mut().unwrap();
                     for resp in responses {
                         sock.send(&resp);
                     }
+                    input_left = sock.recv_available() > 0;
                 }
                 None => {}
             }
-            let sock = self.tcp_sockets[idx].as_mut().unwrap();
+            let sock = self.tcp_table.sockets[idx].as_mut().unwrap();
             let mut segs = std::mem::take(&mut self.tcp_segs);
             sock.dispatch(now, &mut segs);
             let (local, remote) = (sock.local, sock.remote);
@@ -728,7 +894,7 @@ impl Host {
             // spares from that pool so the circulation stays closed and
             // bulk transfers keep reusing one small buffer working set.
             if sent > 0 {
-                if let Some(sock) = self.tcp_sockets[idx].as_mut() {
+                if let Some(sock) = self.tcp_table.sockets[idx].as_mut() {
                     for _ in 0..sent {
                         if !sock.wants_spare() {
                             break;
@@ -739,7 +905,14 @@ impl Host {
                 }
             }
             self.tcp_segs = segs;
+            if input_left {
+                self.tcp_table.touch(idx);
+            } else {
+                self.tcp_table.settle(idx);
+            }
         }
+        visits.clear();
+        self.tcp_table.visits = visits;
 
         // SCTP endpoints.
         for idx in 0..self.sctp_endpoints.len() {
@@ -775,7 +948,7 @@ impl Host {
     }
 
     fn poll_at(&self) -> Option<Instant> {
-        let tcp = self.tcp_sockets.iter().flatten().filter_map(|s| s.poll_at()).min();
+        let tcp = self.tcp_table.poll_at();
         let sctp = self.sctp_endpoints.iter().flatten().filter_map(|s| s.poll_at()).min();
         let dccp = self.dccp_endpoints.iter().flatten().filter_map(|s| s.poll_at()).min();
         let dhcp = self.dhcp_client.as_ref().and_then(|(_, c)| c.poll_at());
@@ -874,17 +1047,12 @@ impl Host {
                         .unwrap_or(false)
                 })
             });
-        if let Some(s) = idx.map(|i| self.udp_sockets[i].as_mut().unwrap()) {
+        if let Some(idx) = idx {
+            let s = self.udp_sockets[idx].as_mut().unwrap();
             let echo = s.echo;
             s.recv.push((src, data.clone()));
             if echo {
-                let h = UdpHandle(
-                    self.udp_sockets
-                        .iter()
-                        .position(|s| s.as_ref().map(|x| x.port == dst_port).unwrap_or(false))
-                        .unwrap(),
-                );
-                self.udp_send(ctx, h, src, &data);
+                self.udp_send(ctx, UdpHandle(idx), src, &data);
             }
             return;
         }
@@ -908,18 +1076,10 @@ impl Host {
         let Ok(repr) = TcpRepr::parse_unverified(&tcp) else { return };
         let data = tcp.payload();
         let remote = SocketAddrV4::new(ip.src_addr(), repr.src_port);
+        let local = SocketAddrV4::new(ip.dst_addr(), repr.dst_port);
         // Existing connection?
-        let found = self.tcp_sockets.iter().position(|s| {
-            s.as_ref()
-                .map(|s| {
-                    s.local.port() == repr.dst_port
-                        && s.remote == remote
-                        && s.local.ip() == &ip.dst_addr()
-                })
-                .unwrap_or(false)
-        });
-        if let Some(idx) = found {
-            self.tcp_sockets[idx].as_mut().unwrap().process(ctx.now(), &repr, data);
+        if let Some(&idx) = self.tcp_table.by_tuple.get(&tuple_key(local, remote)) {
+            self.tcp_table.touch(idx).process(ctx.now(), &repr, data);
             self.poll(ctx);
             return;
         }
@@ -929,10 +1089,8 @@ impl Host {
                 let app = l.app;
                 let config = l.config;
                 let iss = SeqNumber(ctx.rng().next_u32());
-                let local = SocketAddrV4::new(ip.dst_addr(), repr.dst_port);
                 let socket = TcpSocket::server(local, remote, iss, config, &repr, ctx.now());
-                let idx = free_slot(&mut self.tcp_sockets);
-                self.tcp_sockets[idx] = Some(socket);
+                let idx = self.tcp_insert(socket);
                 match app {
                     ListenerApp::Echo => {
                         self.tcp_apps.insert(idx, TcpApp::Echo);
@@ -1267,4 +1425,197 @@ impl Node for Host {
     }
 
     impl_node_downcast!();
+}
+
+#[cfg(test)]
+impl Host {
+    /// Recounts the socket table's indices from the sockets themselves and
+    /// panics on any difference.
+    fn check_socket_table(&self) {
+        let t = &self.tcp_table;
+        let slots = 0..t.sockets.len();
+        assert_eq!(t.meta.len(), t.sockets.len());
+        assert!(t.visits.is_empty());
+        // The tuple map is exactly the live sockets.
+        let live: Vec<usize> = slots.clone().filter(|&i| t.sockets[i].is_some()).collect();
+        assert_eq!(t.by_tuple.len(), live.len());
+        for &i in &live {
+            let s = t.get(i);
+            assert_eq!(t.by_tuple.get(&tuple_key(s.local, s.remote)), Some(&i));
+        }
+        // The dirty list holds each flagged slot once.
+        let mut dirty = t.dirty.clone();
+        dirty.sort_unstable();
+        let flagged: Vec<usize> = slots.clone().filter(|&i| t.meta[i].dirty).collect();
+        assert_eq!(dirty, flagged);
+        // The deadline set is exactly poll_at() of every clean live socket.
+        let want: BTreeSet<(Instant, usize)> = live
+            .iter()
+            .filter(|&&i| !t.meta[i].dirty)
+            .filter_map(|&i| Some((t.get(i).poll_at()?, i)))
+            .collect();
+        assert_eq!(t.deadlines, want);
+        for i in slots.clone() {
+            let filed = t.meta[i].deadline.map(|at| (at, i));
+            assert_eq!(filed, want.iter().find(|&&(_, j)| j == i).copied());
+        }
+        assert_eq!(t.poll_at(), t.sockets.iter().flatten().filter_map(|s| s.poll_at()).min());
+        // The free heap is exactly the empty slots.
+        let mut free: Vec<usize> = t.free.iter().map(|r| r.0).collect();
+        free.sort_unstable();
+        let empty: Vec<usize> = slots.filter(|&i| t.sockets[i].is_none()).collect();
+        assert_eq!(free, empty);
+        // The ephemeral-port refcounts match a recount.
+        let udp_ports = self.udp_sockets.iter().flatten().map(|s| s.port);
+        let tcp_ports = t.sockets.iter().flatten().map(|s| s.local.port());
+        let mut recount: HashMap<u16, u32> = HashMap::new();
+        for port in udp_ports.chain(tcp_ports).filter(|&p| p >= EPHEMERAL_BASE) {
+            *recount.entry(port).or_default() += 1;
+        }
+        let refs: HashMap<u16, u32> = self.port_refs.iter().map(|(&p, &n)| (p, n)).collect();
+        assert_eq!(refs, recount);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hgw_core::{Duration, LinkConfig, NodeId, Simulator};
+
+    const A_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
+    const B_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 1);
+    const SERVER: SocketAddrV4 = SocketAddrV4::new(B_ADDR, 6000);
+
+    fn two_hosts() -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(7);
+        let mut a = Host::new("client");
+        a.add_iface(PortId(0), IfaceConfig::new(A_ADDR, 24));
+        let mut b = Host::new("server");
+        b.add_iface(PortId(0), IfaceConfig::new(B_ADDR, 24));
+        b.tcp_listen(SERVER.port(), ListenerApp::Echo);
+        let a = sim.add_node(Box::new(a));
+        let b = sim.add_node(Box::new(b));
+        sim.connect(a, PortId(0), b, PortId(0), LinkConfig::ethernet_100m());
+        sim.boot();
+        (sim, a, b)
+    }
+
+    fn check(sim: &mut Simulator, nodes: &[NodeId]) {
+        for &n in nodes {
+            sim.with_node::<Host, _>(n, |h, _| h.check_socket_table());
+        }
+    }
+
+    fn connect(sim: &mut Simulator, a: NodeId, to: SocketAddrV4) -> TcpHandle {
+        sim.with_node::<Host, _>(a, |h, ctx| h.tcp_connect(ctx, to))
+    }
+
+    #[test]
+    fn socket_table_indices_survive_connection_churn() {
+        let (mut sim, a, b) = two_hosts();
+        let nodes = [a, b];
+        let mut open: Vec<TcpHandle> = Vec::new();
+        let mut accepted: Vec<TcpHandle> = Vec::new();
+        let mut udp: Vec<UdpHandle> = Vec::new();
+        for step in 0..320usize {
+            // Every 16th connection goes to a closed port and is reset.
+            let to = if step % 16 == 15 { SocketAddrV4::new(B_ADDR, 6001) } else { SERVER };
+            open.push(connect(&mut sim, a, to));
+            check(&mut sim, &nodes);
+            sim.run_for(Duration::from_millis(1));
+            check(&mut sim, &nodes);
+            let pick = open[(step * 7) % open.len()];
+            sim.with_node::<Host, _>(a, |h, ctx| match step % 6 {
+                0 => {
+                    h.tcp_mut(pick).abort();
+                    h.kick(ctx);
+                    h.tcp_remove(pick);
+                }
+                1 | 4 => {
+                    h.tcp_send(ctx, pick, b"echo me");
+                }
+                2 => h.tcp_close(ctx, pick),
+                3 if step % 12 == 3 => udp.push(h.udp_bind_ephemeral()),
+                3 => {
+                    if let Some(u) = udp.pop() {
+                        h.udp_close(u);
+                    }
+                }
+                _ => {
+                    let _ = h.tcp_recv(pick, 64);
+                }
+            });
+            if step % 6 == 0 {
+                open.retain(|&h| h != pick);
+            }
+            check(&mut sim, &nodes);
+            sim.run_for(Duration::from_millis(2));
+            check(&mut sim, &nodes);
+            // The server reaps its fully closed connections now and then,
+            // so its slots are reused by later accepts.
+            if step % 10 == 9 {
+                sim.with_node::<Host, _>(b, |h, _| {
+                    accepted.extend(h.tcp_accepted());
+                    accepted.retain(|&c| {
+                        let closed = h.tcp(c).is_closed();
+                        if closed {
+                            h.tcp_remove(c);
+                        }
+                        !closed
+                    });
+                });
+                check(&mut sim, &nodes);
+            }
+            // The client reaps what was reset or timed out.
+            if step % 25 == 24 {
+                sim.with_node::<Host, _>(a, |h, _| {
+                    open.retain(|&c| {
+                        let closed = h.tcp(c).is_closed();
+                        if closed {
+                            h.tcp_remove(c);
+                        }
+                        !closed
+                    });
+                });
+                check(&mut sim, &nodes);
+            }
+        }
+        // Long enough for retransmissions and TIME-WAIT to run out.
+        sim.run_for(Duration::from_secs(300));
+        check(&mut sim, &nodes);
+        sim.with_node::<Host, _>(a, |h, ctx| {
+            for &c in &open {
+                h.tcp_mut(c).abort();
+                h.kick(ctx);
+                h.tcp_remove(c);
+            }
+            for &u in &udp {
+                h.udp_close(u);
+            }
+            h.check_socket_table();
+            assert!(h.tcp_table.by_tuple.is_empty());
+            assert!(h.port_refs.is_empty());
+        });
+    }
+
+    #[test]
+    fn freed_tcp_slots_are_reused_lowest_first() {
+        let (mut sim, a, b) = two_hosts();
+        for i in 0..10 {
+            assert_eq!(connect(&mut sim, a, SERVER), TcpHandle(i));
+        }
+        sim.run_for(Duration::from_millis(5));
+        sim.with_node::<Host, _>(a, |h, ctx| {
+            for slot in [7, 3] {
+                h.tcp_mut(TcpHandle(slot)).abort();
+                h.kick(ctx);
+                h.tcp_remove(TcpHandle(slot));
+            }
+        });
+        assert_eq!(connect(&mut sim, a, SERVER), TcpHandle(3));
+        assert_eq!(connect(&mut sim, a, SERVER), TcpHandle(7));
+        assert_eq!(connect(&mut sim, a, SERVER), TcpHandle(10));
+        sim.run_for(Duration::from_millis(5));
+        check(&mut sim, &[a, b]);
+    }
 }

@@ -52,6 +52,28 @@ fn udp_round_trip() {
 }
 
 #[test]
+fn udp_echo_replies_from_the_matched_alias_socket() {
+    const ALIAS: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 9);
+    let (mut sim, a, b) = two_hosts();
+    sim.with_node::<Host, _>(b, |h, _| {
+        h.add_alias(PortId(0), ALIAS);
+        // Slot 0: a wildcard socket on the same port, without echo.
+        assert_eq!(h.udp_bind(7000).0, 0);
+        let echo = h.udp_bind_at(ALIAS, 7000);
+        h.udp_set_echo(echo, true);
+    });
+    let ha = sim.with_node::<Host, _>(a, |h, ctx| {
+        let ha = h.udp_bind_ephemeral();
+        h.udp_send(ctx, ha, SocketAddrV4::new(ALIAS, 7000), b"to-alias");
+        ha
+    });
+    sim.run_for(Duration::from_millis(10));
+    let (from, data) = sim.with_node::<Host, _>(a, |h, _| h.udp_recv(ha)).expect("echo reply");
+    assert_eq!(from, SocketAddrV4::new(ALIAS, 7000));
+    assert_eq!(data, b"to-alias");
+}
+
+#[test]
 fn udp_to_closed_port_generates_port_unreachable() {
     let (mut sim, a, _b) = two_hosts();
     sim.with_node::<Host, _>(a, |h, ctx| {
