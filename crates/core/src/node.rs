@@ -105,6 +105,12 @@ impl<'a> NodeCtx<'a> {
         self.pool.put(buf);
     }
 
+    /// The simulator's [`FramePool`] itself, for code that takes buffers
+    /// without a `NodeCtx` at hand (a TCP socket building segments).
+    pub fn frame_pool(&mut self) -> &mut FramePool {
+        self.pool
+    }
+
     /// Queues a frame for transmission on `port`. If the port is not
     /// connected to a link the frame is silently discarded (counted by the
     /// simulator as an unrouted frame).

@@ -1142,12 +1142,13 @@ impl Gateway {
         for idx in 0..self.proxy_conns.len() {
             let Some(conn) = self.proxy_conns[idx].as_mut() else { continue };
             let mut segs = Vec::new();
-            conn.sock.dispatch(now, &mut segs);
+            conn.sock.dispatch(now, ctx.frame_pool(), &mut segs);
             let (local, remote) = (conn.sock.local, conn.sock.remote);
             for seg in segs {
                 let bytes = seg.repr.emit_with_payload(*local.ip(), *remote.ip(), seg.payload());
                 let ip = Ipv4Repr::new(*local.ip(), *remote.ip(), Protocol::Tcp);
                 ctx.send_frame(LAN_PORT, ip.emit_with_payload(&bytes));
+                ctx.recycle_frame(seg.into_parts().1);
             }
             if conn.sock.is_closed() {
                 self.proxy_conns[idx] = None;
@@ -1156,12 +1157,13 @@ impl Gateway {
         for idx in 0..self.upstream_conns.len() {
             let Some(conn) = self.upstream_conns[idx].as_mut() else { continue };
             let mut segs = Vec::new();
-            conn.sock.dispatch(now, &mut segs);
+            conn.sock.dispatch(now, ctx.frame_pool(), &mut segs);
             let (local, remote) = (conn.sock.local, conn.sock.remote);
             for seg in segs {
                 let bytes = seg.repr.emit_with_payload(*local.ip(), *remote.ip(), seg.payload());
                 let ip = Ipv4Repr::new(*local.ip(), *remote.ip(), Protocol::Tcp);
                 ctx.send_frame(WAN_PORT, ip.emit_with_payload(&bytes));
+                ctx.recycle_frame(seg.into_parts().1);
             }
             if conn.sock.is_closed() {
                 self.upstream_conns[idx] = None;

@@ -9,13 +9,23 @@
 //!
 //! Semantics are those of a plain byte FIFO; the chunk structure is
 //! invisible to callers and never affects TCP behavior.
+//!
+//! Storage circulates instead of churning the allocator: while bytes
+//! remain queued, a fully drained front chunk becomes the next tail chunk,
+//! so a steady bulk stream reuses the same few chunks. A fresh chunk is
+//! sized to its first append (a 1-byte message takes 64 bytes, not a full
+//! chunk) and grows in place up to [`CHUNK`]. A queue that drains to empty
+//! keeps no storage at all.
 
 use std::collections::VecDeque;
 
-/// Target size of each storage chunk. Large enough that an MSS-sized
+/// Full size of each storage chunk. Large enough that an MSS-sized
 /// segment copy touches at most two chunks, small enough that a drained
 /// queue frees memory promptly.
 const CHUNK: usize = 4096;
+
+/// Smallest capacity a fresh chunk is given.
+const MIN_CHUNK: usize = 64;
 
 /// A FIFO of bytes stored as contiguous chunks.
 #[derive(Debug, Clone, Default)]
@@ -24,6 +34,9 @@ pub struct ByteQueue {
     /// Bytes already consumed from the front chunk.
     head: usize,
     len: usize,
+    /// A drained front chunk (cleared, `CHUNK` capacity) waiting to become
+    /// the next tail chunk; empty whenever the queue is.
+    spare: Vec<u8>,
 }
 
 impl ByteQueue {
@@ -42,23 +55,28 @@ impl ByteQueue {
         self.len == 0
     }
 
-    /// The tail chunk, guaranteed to have room for at least one byte.
-    fn tail_with_room(&mut self) -> &mut Vec<u8> {
-        let need_new = match self.chunks.back() {
-            Some(c) => c.len() >= CHUNK,
-            None => true,
-        };
-        if need_new {
-            self.chunks.push_back(Vec::with_capacity(CHUNK));
+    /// The tail chunk, with capacity for `min(want, CHUNK - len)` more
+    /// bytes (at least one). A full tail is followed by the spare chunk, or
+    /// else by a new one; a short tail grows in place. Either way capacity
+    /// is a power of two in `[MIN_CHUNK, CHUNK]`.
+    fn tail_with_room(&mut self, want: usize) -> &mut Vec<u8> {
+        if self.chunks.back().is_none_or(|c| c.len() >= CHUNK) {
+            self.chunks.push_back(std::mem::take(&mut self.spare));
         }
-        self.chunks.back_mut().expect("tail chunk exists")
+        let tail = self.chunks.back_mut().expect("tail chunk exists");
+        let need = (tail.len() + want).min(CHUNK);
+        if need > tail.capacity() {
+            let cap = need.next_power_of_two().max(MIN_CHUNK);
+            tail.reserve_exact(cap - tail.len());
+        }
+        tail
     }
 
     /// Appends `data` to the back.
     pub fn extend_from_slice(&mut self, mut data: &[u8]) {
         self.len += data.len();
         while !data.is_empty() {
-            let tail = self.tail_with_room();
+            let tail = self.tail_with_room(data.len());
             let n = (CHUNK - tail.len()).min(data.len());
             tail.extend_from_slice(&data[..n]);
             data = &data[n..];
@@ -76,7 +94,7 @@ impl ByteQueue {
         self.len += n as usize;
         let mut i = 0u64;
         while i < n {
-            let tail = self.tail_with_room();
+            let tail = self.tail_with_room((n - i).min(CHUNK as u64) as usize);
             let run = ((CHUNK - tail.len()) as u64).min(n - i);
             let start = tail.len();
             tail.resize(start + run as usize, 0);
@@ -92,7 +110,7 @@ impl ByteQueue {
     ///
     /// Every chunk except the last is filled to exactly `CHUNK` bytes
     /// (`tail_with_room` tops a chunk off before opening the next, and
-    /// `consume` drops only fully drained chunks), so the chunk holding a
+    /// `consume` removes only fully drained chunks), so the chunk holding a
     /// given stream position is index arithmetic, not a scan — this runs
     /// once per TCP segment during a bulk transfer, where a front-to-back
     /// skip over a 128 KiB send buffer would be pure overhead.
@@ -148,7 +166,8 @@ impl ByteQueue {
         acc
     }
 
-    /// Discards up to `n` bytes from the front.
+    /// Discards up to `n` bytes from the front. A drained front chunk is
+    /// kept as the spare while bytes remain; an empty queue frees it.
     pub fn consume(&mut self, n: usize) {
         let mut n = n.min(self.len);
         self.len -= n;
@@ -156,12 +175,17 @@ impl ByteQueue {
             let front_left = self.chunks.front().expect("non-empty queue").len() - self.head;
             if n >= front_left {
                 n -= front_left;
-                self.chunks.pop_front();
+                let mut drained = self.chunks.pop_front().expect("non-empty queue");
                 self.head = 0;
+                drained.clear();
+                self.spare = drained;
             } else {
                 self.head += n;
                 n = 0;
             }
+        }
+        if self.len == 0 {
+            self.spare = Vec::new();
         }
     }
 
@@ -275,6 +299,46 @@ mod tests {
         }
     }
 
+    /// Every chunk but the last holds exactly `CHUNK` bytes (the index
+    /// arithmetic of `copy_range_into` depends on it), and a queue with
+    /// nothing in it holds no storage.
+    fn assert_chunk_invariant(q: &ByteQueue) {
+        let n = q.chunks.len();
+        for (i, c) in q.chunks.iter().enumerate() {
+            if i + 1 < n {
+                assert_eq!(c.len(), CHUNK, "chunk {i} of {n} is not full");
+            }
+            assert!(c.capacity() <= CHUNK, "chunk {i} over-allocated");
+        }
+        if q.is_empty() {
+            assert!(q.chunks.is_empty(), "a drained queue keeps chunks");
+            assert_eq!(q.spare.capacity(), 0, "a drained queue keeps a spare");
+            assert_eq!(q.head, 0);
+        }
+    }
+
+    #[test]
+    fn one_byte_append_takes_a_small_chunk() {
+        let mut q = ByteQueue::new();
+        q.extend_from_slice(&[7]);
+        assert_eq!(q.chunks.len(), 1);
+        assert!(q.chunks[0].capacity() <= MIN_CHUNK, "cap {}", q.chunks[0].capacity());
+        q.consume(1);
+        assert_chunk_invariant(&q);
+    }
+
+    #[test]
+    fn drained_front_chunk_becomes_the_next_tail() {
+        let mut q = ByteQueue::new();
+        q.extend_from_slice(&[1; CHUNK + 10]);
+        let front = q.chunks[0].as_ptr();
+        q.consume(CHUNK);
+        q.extend_from_slice(&[2; CHUNK]);
+        assert_eq!(q.chunks.len(), 2);
+        assert_eq!(q.chunks[1].as_ptr(), front, "the drained chunk was reused");
+        assert_chunk_invariant(&q);
+    }
+
     #[test]
     fn interleaved_produce_consume_matches_vecdeque_model() {
         let mut q = ByteQueue::new();
@@ -301,6 +365,10 @@ mod tests {
                 assert_eq!(got, want);
             }
             assert_eq!(q.len(), model.len());
+            assert_chunk_invariant(&q);
         }
+        let rest = q.take_front(q.len());
+        assert_eq!(rest, model.drain(..).collect::<Vec<u8>>());
+        assert_chunk_invariant(&q);
     }
 }

@@ -420,6 +420,7 @@ impl Host {
                 &mut frame,
             );
             ctx.send_frame(port, frame);
+            ctx.recycle_frame(seg.into_parts().1);
         }
     }
 
@@ -883,26 +884,12 @@ impl Host {
             }
             let sock = self.tcp_table.sockets[idx].as_mut().unwrap();
             let mut segs = std::mem::take(&mut self.tcp_segs);
-            sock.dispatch(now, &mut segs);
+            // Segment buffers come from the simulator's frame pool, leave as
+            // frames, and return to the pool once delivered.
+            sock.dispatch(now, ctx.frame_pool(), &mut segs);
             let (local, remote) = (sock.local, sock.remote);
-            let sent = segs.len();
             for seg in segs.drain(..) {
                 self.send_tcp_segment(ctx, *local.ip(), *remote.ip(), seg);
-            }
-            // Segment buffers leave as frames and come back through the
-            // simulator's frame pool once delivered; refill the socket's
-            // spares from that pool so the circulation stays closed and
-            // bulk transfers keep reusing one small buffer working set.
-            if sent > 0 {
-                if let Some(sock) = self.tcp_table.sockets[idx].as_mut() {
-                    for _ in 0..sent {
-                        if !sock.wants_spare() {
-                            break;
-                        }
-                        let buf = ctx.alloc_frame(crate::tcp::SEGMENT_HEADROOM + 1460);
-                        sock.recycle_payload(buf);
-                    }
-                }
             }
             self.tcp_segs = segs;
             if input_left {

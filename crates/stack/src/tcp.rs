@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddrV4;
 
-use hgw_core::{Duration, Instant};
+use hgw_core::{Duration, FramePool, Instant};
 use hgw_wire::tcp::{TcpOption, TcpRepr};
 use hgw_wire::{SeqNumber, TcpFlags};
 
@@ -338,10 +338,6 @@ pub struct TcpSocket {
     bulk: Option<BulkSource>,
     sink: Option<SinkState>,
     sink_stamp_every: u64,
-
-    /// Retired segment payload buffers awaiting reuse (allocation cache
-    /// for the bulk-transfer hot path; never affects TCP behavior).
-    spares: Vec<Vec<u8>>,
 }
 
 impl TcpSocket {
@@ -391,7 +387,6 @@ impl TcpSocket {
             bulk: None,
             sink: None,
             sink_stamp_every: 2048,
-            spares: Vec::new(),
         }
     }
 
@@ -922,12 +917,14 @@ impl TcpSocket {
     // ---- segment emission ----
 
     /// Produces every segment the socket wants to transmit right now.
-    pub fn dispatch(&mut self, now: Instant, out: &mut Vec<TcpSegment>) {
+    /// Segment buffers come from `pool`; the caller sends them on as frames
+    /// or hands them back to it.
+    pub fn dispatch(&mut self, now: Instant, pool: &mut FramePool, out: &mut Vec<TcpSegment>) {
         match self.state {
             TcpState::Closed => return,
             TcpState::TimeWait => {
                 if self.ack_pending {
-                    let seg = self.make_segment(TcpFlags::ACK, self.snd_nxt);
+                    let seg = self.make_segment(TcpFlags::ACK, self.snd_nxt, pool);
                     out.push(seg);
                     self.ack_pending = false;
                 }
@@ -940,7 +937,7 @@ impl TcpSocket {
                     repr.options = vec![TcpOption::MaxSegmentSize(self.config.mss as u16)];
                     self.snd_nxt = self.iss.add(1);
                     self.track_snd_max();
-                    let buf = self.headroom_buf();
+                    let buf = self.headroom_buf(pool);
                     out.push(TcpSegment::new(repr, buf, 0));
                     self.syn_pending = false;
                 }
@@ -952,7 +949,7 @@ impl TcpSocket {
                     repr.options = vec![TcpOption::MaxSegmentSize(self.config.mss as u16)];
                     self.snd_nxt = self.iss.add(1);
                     self.track_snd_max();
-                    let buf = self.headroom_buf();
+                    let buf = self.headroom_buf(pool);
                     out.push(TcpSegment::new(repr, buf, 0));
                     self.syn_pending = false;
                 }
@@ -973,12 +970,13 @@ impl TcpSocket {
         let mut sent_any = false;
 
         if self.retransmit_head {
-            let data = self.buffered_range(self.snd_una, mss);
-            if !data.0.is_empty() {
-                let seg = self.make_data_segment(TcpFlags::ACK | TcpFlags::PSH, self.snd_una, data);
+            let len = self.buffered_len(self.snd_una, mss);
+            if len > 0 {
+                let flags = TcpFlags::ACK | TcpFlags::PSH;
+                let seg = self.make_data_segment(flags, self.snd_una, len, pool);
                 out.push(seg);
             } else if self.fin_seq == Some(self.snd_una) {
-                let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_una);
+                let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_una, pool);
                 out.push(seg);
             }
             self.retransmit_head = false;
@@ -995,11 +993,10 @@ impl TcpSocket {
                 break;
             }
             let budget = ((wnd - flight) as usize).min(mss);
-            let data = self.buffered_range(self.snd_nxt, budget);
-            if data.0.is_empty() {
+            let plen = self.buffered_len(self.snd_nxt, budget);
+            if plen == 0 {
                 break;
             }
-            let plen = data.0.len() - SEGMENT_HEADROOM;
             // Nagle-ish: defer a sub-MSS segment while more data waits and
             // earlier segments are in flight.
             let unsent = self.unsent_from(self.snd_nxt);
@@ -1008,7 +1005,7 @@ impl TcpSocket {
             }
             let len = plen as u32;
             let flags = if plen < mss { TcpFlags::ACK | TcpFlags::PSH } else { TcpFlags::ACK };
-            let seg = self.make_data_segment(flags, self.snd_nxt, data);
+            let seg = self.make_data_segment(flags, self.snd_nxt, plen, pool);
             out.push(seg);
             if self.rtt_sample.is_none() {
                 self.rtt_sample = Some((self.snd_nxt.add(len), now));
@@ -1024,7 +1021,7 @@ impl TcpSocket {
 
         // FIN once every buffered byte has been transmitted.
         if self.fin_queued && self.unsent_from(self.snd_nxt) == 0 && self.fin_seq.is_none() {
-            let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt);
+            let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, pool);
             out.push(seg);
             self.fin_seq = Some(self.snd_nxt);
             self.snd_nxt = self.snd_nxt.add(1);
@@ -1036,7 +1033,7 @@ impl TcpSocket {
         }
 
         if self.ack_pending && !sent_any {
-            let seg = self.make_segment(TcpFlags::ACK, self.snd_nxt);
+            let seg = self.make_segment(TcpFlags::ACK, self.snd_nxt, pool);
             out.push(seg);
         }
         self.ack_pending = false;
@@ -1048,46 +1045,22 @@ impl TcpSocket {
         }
     }
 
-    /// A cleared spare buffer pre-filled with [`SEGMENT_HEADROOM`] zero
-    /// bytes, ready to receive payload at its final wire offset.
-    fn headroom_buf(&mut self) -> Vec<u8> {
-        let mut out = self.spares.pop().unwrap_or_default();
-        out.clear();
+    /// A pool buffer with room for a full segment, pre-filled with
+    /// [`SEGMENT_HEADROOM`] zero bytes, ready to receive payload at its
+    /// final wire offset.
+    fn headroom_buf(&self, pool: &mut FramePool) -> Vec<u8> {
+        let mut out = pool.get_with_capacity(SEGMENT_HEADROOM + self.effective_mss() as usize);
         out.resize(SEGMENT_HEADROOM, 0);
         out
     }
 
-    /// Bytes of the send buffer starting at absolute sequence `seq`, laid
-    /// out after [`SEGMENT_HEADROOM`] in a spare buffer, plus their pair
-    /// sum from the same fused copy pass. An empty range returns an empty
-    /// (headroom-less) buffer.
-    fn buffered_range(&mut self, seq: SeqNumber, max: usize) -> (Vec<u8>, u32) {
-        let start = seq.dist(self.send_buf_seq);
-        if start < 0 || start as usize >= self.send_buf.len() || max == 0 {
-            return (Vec::new(), 0);
+    /// How many bytes (at most `max`) the send buffer holds from absolute
+    /// sequence `seq` on.
+    fn buffered_len(&self, seq: SeqNumber, max: usize) -> usize {
+        if seq.dist(self.send_buf_seq) < 0 {
+            return 0;
         }
-        let mut out = self.headroom_buf();
-        let sum = self.send_buf.copy_range_into_with_sum(start as usize, max, &mut out);
-        (out, sum)
-    }
-
-    /// Hands a retired segment payload buffer back for reuse by a later
-    /// [`TcpSocket::dispatch`]. Purely an allocation cache — dropping the
-    /// buffer instead is always correct, so callers that don't track
-    /// payload ownership simply skip this.
-    pub fn recycle_payload(&mut self, mut buf: Vec<u8>) {
-        if self.spares.len() < 8 && buf.capacity() > 0 {
-            buf.clear();
-            self.spares.push(buf);
-        }
-    }
-
-    /// True while the spare-buffer cache has room — callers that own a
-    /// buffer source (e.g. a frame pool) can check before pulling a buffer
-    /// to [`TcpSocket::recycle_payload`], so no buffer is taken just to be
-    /// dropped.
-    pub fn wants_spare(&self) -> bool {
-        self.spares.len() < 8
+        max.min(self.unsent_from(seq))
     }
 
     fn unsent_from(&self, seq: SeqNumber) -> usize {
@@ -1107,17 +1080,24 @@ impl TcpSocket {
         }
     }
 
-    fn make_segment(&mut self, flags: TcpFlags, seq: SeqNumber) -> TcpSegment {
-        let buf = self.headroom_buf();
+    fn make_segment(&self, flags: TcpFlags, seq: SeqNumber, pool: &mut FramePool) -> TcpSegment {
+        let buf = self.headroom_buf(pool);
         TcpSegment::new(self.header(flags, seq), buf, 0)
     }
 
+    /// A segment carrying the `len` buffered bytes from `seq` on (see
+    /// [`TcpSocket::buffered_len`]), copied out after the headroom by the
+    /// fused pass that also sums them.
     fn make_data_segment(
-        &mut self,
+        &self,
         flags: TcpFlags,
         seq: SeqNumber,
-        (buf, payload_sum): (Vec<u8>, u32),
+        len: usize,
+        pool: &mut FramePool,
     ) -> TcpSegment {
+        let mut buf = self.headroom_buf(pool);
+        let start = seq.dist(self.send_buf_seq) as usize;
+        let payload_sum = self.send_buf.copy_range_into_with_sum(start, len, &mut buf);
         TcpSegment::new(self.header(flags, seq), buf, payload_sum)
     }
 }
@@ -1147,8 +1127,8 @@ mod tests {
         loop {
             let mut out_a = Vec::new();
             let mut out_b = Vec::new();
-            a.dispatch(now, &mut out_a);
-            b.dispatch(now, &mut out_b);
+            a.dispatch(now, &mut FramePool::new(), &mut out_a);
+            b.dispatch(now, &mut FramePool::new(), &mut out_b);
             if out_a.is_empty() && out_b.is_empty() {
                 break;
             }
@@ -1185,7 +1165,7 @@ mod tests {
         );
         // Drive the SYN out, hand it to a fresh server socket.
         let mut out = Vec::new();
-        c.dispatch(now, &mut out);
+        c.dispatch(now, &mut FramePool::new(), &mut out);
         assert_eq!(out.len(), 1);
         let syn = &out[0];
         assert!(syn.repr.flags.contains(TcpFlags::SYN));
@@ -1270,11 +1250,11 @@ mod tests {
         let cfg = TcpConfig { max_retries: 3, ..TcpConfig::default() };
         let mut c = TcpSocket::client(addr(2, 4000), addr(1, 80), SeqNumber(0), cfg, now);
         let mut out = Vec::new();
-        c.dispatch(now, &mut out); // SYN into the void
+        c.dispatch(now, &mut FramePool::new(), &mut out); // SYN into the void
         for _ in 0..10 {
             if let Some(t) = c.poll_at() {
                 c.on_timer(t);
-                c.dispatch(t, &mut out);
+                c.dispatch(t, &mut FramePool::new(), &mut out);
             }
         }
         assert!(c.is_closed());
@@ -1303,7 +1283,7 @@ mod tests {
         let (mut c, mut s, now) = established_pair();
         c.send(&vec![1u8; 3000]); // three MSS-1460 segments? (1460+1460+80)
         let mut segs = Vec::new();
-        c.dispatch(now, &mut segs);
+        c.dispatch(now, &mut FramePool::new(), &mut segs);
         assert!(segs.len() >= 2);
         // Deliver in reverse order.
         for seg in segs.iter().rev() {
@@ -1354,7 +1334,7 @@ mod tests {
         let cfg = TcpConfig { keepalive: Some(Duration::from_secs(10)), ..TcpConfig::default() };
         let mut c = TcpSocket::client(addr(2, 4000), addr(1, 80), SeqNumber(1000), cfg, now);
         let mut out = Vec::new();
-        c.dispatch(now, &mut out);
+        c.dispatch(now, &mut FramePool::new(), &mut out);
         let syn = out.pop().unwrap();
         let mut s = TcpSocket::server(
             addr(1, 80),
@@ -1370,7 +1350,7 @@ mod tests {
         assert_eq!(ka_at, now + Duration::from_secs(10));
         c.on_timer(ka_at);
         let mut out = Vec::new();
-        c.dispatch(ka_at, &mut out);
+        c.dispatch(ka_at, &mut FramePool::new(), &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].repr.flags.contains(TcpFlags::ACK));
         assert!(out[0].payload().is_empty());
@@ -1388,7 +1368,7 @@ mod tests {
             now,
         );
         let mut out = Vec::new();
-        c.dispatch(now, &mut out);
+        c.dispatch(now, &mut FramePool::new(), &mut out);
         let syn = out.pop().unwrap();
         let mut s =
             TcpSocket::server(addr(1, 80), addr(2, 4000), SeqNumber(2000), small, &syn.repr, now);
@@ -1426,7 +1406,7 @@ mod tests {
         // to generate dup ACKs.
         c.send(&vec![3u8; 1460 * 5]);
         let mut segs = Vec::new();
-        c.dispatch(now, &mut segs);
+        c.dispatch(now, &mut FramePool::new(), &mut segs);
         assert!(segs.len() >= 4, "expected several segments, got {}", segs.len());
         let mut acks = Vec::new();
         for (i, seg) in segs.iter().enumerate() {
@@ -1435,7 +1415,7 @@ mod tests {
             }
             s.process(now, &seg.repr, seg.payload());
             let mut out = Vec::new();
-            s.dispatch(now, &mut out);
+            s.dispatch(now, &mut FramePool::new(), &mut out);
             acks.extend(out);
         }
         // Feed the dup ACKs back.
@@ -1443,7 +1423,7 @@ mod tests {
             c.process(now, &ack.repr, ack.payload());
         }
         let mut out = Vec::new();
-        c.dispatch(now, &mut out);
+        c.dispatch(now, &mut FramePool::new(), &mut out);
         // The head segment must have been retransmitted without an RTO.
         let head_seq = segs[0].repr.seq;
         assert!(
@@ -1463,7 +1443,7 @@ mod tests {
         let cfg = TcpConfig { mss: 500, ..TcpConfig::default() };
         let mut c = TcpSocket::client(addr(2, 1), addr(1, 2), SeqNumber(0), cfg, now);
         let mut out = Vec::new();
-        c.dispatch(now, &mut out);
+        c.dispatch(now, &mut FramePool::new(), &mut out);
         let syn = out.pop().unwrap();
         let mut s = TcpSocket::server(
             addr(1, 2),
@@ -1479,7 +1459,7 @@ mod tests {
         // Server-side segments respect the peer MSS.
         s.send(&vec![1u8; 1200]);
         let mut segs = Vec::new();
-        s.dispatch(now, &mut segs);
+        s.dispatch(now, &mut FramePool::new(), &mut segs);
         assert!(segs.iter().all(|sg| sg.payload().len() <= 500));
     }
 
@@ -1488,7 +1468,7 @@ mod tests {
         let (mut c, mut s, now) = established_pair();
         c.send(b"once");
         let mut segs = Vec::new();
-        c.dispatch(now, &mut segs);
+        c.dispatch(now, &mut FramePool::new(), &mut segs);
         let seg = &segs[0];
         s.process(now, &seg.repr, seg.payload());
         s.process(now, &seg.repr, seg.payload()); // duplicate

@@ -5,7 +5,7 @@ use std::net::SocketAddrV4;
 
 use proptest::prelude::*;
 
-use hgw_core::{Duration, Instant};
+use hgw_core::{Duration, FramePool, Instant};
 use hgw_stack::tcp::{TcpConfig, TcpSegment, TcpSocket, TcpState};
 use hgw_wire::SeqNumber;
 
@@ -35,16 +35,17 @@ fn run_transfer(stream: &[u8], drops: Vec<bool>, chunk: usize) -> Vec<u8> {
     let mut now = Instant::from_millis(1);
     let cfg = TcpConfig::default();
     let mut a = TcpSocket::client(addr(1, 1000), addr(2, 80), SeqNumber(7), cfg, now);
+    let mut pool = FramePool::new();
     // Handshake (lossless; loss applies to the data phase).
     let mut out = Vec::new();
-    a.dispatch(now, &mut out);
+    a.dispatch(now, &mut pool, &mut out);
     let syn = out.pop().unwrap();
     let mut b = TcpSocket::server(addr(2, 80), addr(1, 1000), SeqNumber(99), cfg, &syn.repr, now);
     for _ in 0..4 {
         let mut oa = Vec::new();
         let mut ob = Vec::new();
-        a.dispatch(now, &mut oa);
-        b.dispatch(now, &mut ob);
+        a.dispatch(now, &mut pool, &mut oa);
+        b.dispatch(now, &mut pool, &mut ob);
         for s in oa {
             b.process(now, &s.repr, s.payload());
         }
@@ -65,13 +66,13 @@ fn run_transfer(stream: &[u8], drops: Vec<bool>, chunk: usize) -> Vec<u8> {
         a.on_timer(now);
         b.on_timer(now);
         let mut oa = Vec::new();
-        a.dispatch(now, &mut oa);
+        a.dispatch(now, &mut pool, &mut oa);
         for s in oa {
             channel.deliver(&s, &mut b, now);
         }
         received.extend(b.recv(usize::MAX));
         let mut ob = Vec::new();
-        b.dispatch(now, &mut ob);
+        b.dispatch(now, &mut pool, &mut ob);
         for s in ob {
             // ACK path: lossless (loss there only slows things further).
             a.process(now, &s.repr, s.payload());
