@@ -458,9 +458,9 @@ fn bench_simulation(results: &mut Vec<MicroResult>) {
     });
 }
 
-/// The telemetry layer's own costs: one histogram sample, one counter
-/// bump, and the per-event overhead of a telemetry-enabled simulator
-/// (compare against `simulation/sim_event_dispatch`, the disabled path).
+/// The telemetry layer's own costs: one histogram sample and the per-event
+/// overhead of a telemetry-enabled simulator (compare against
+/// `simulation/sim_event_dispatch`, the disabled path).
 fn bench_telemetry(results: &mut Vec<MicroResult>) {
     let mut h = hgw_core::Histogram::new();
     let mut v = 1u64;
@@ -468,20 +468,17 @@ fn bench_telemetry(results: &mut Vec<MicroResult>) {
         v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
         h.record(v >> 40);
     });
-    let mut reg = hgw_core::MetricsRegistry::new();
-    let c = reg.counter("bench.counter");
-    bench(results, "telemetry", "counter_inc", None, || reg.inc(c));
     // The on/off pair `bench_diff` machine-checks: identical boxed engines,
-    // telemetry (and the lifecycle-tracing plumbing it feeds) enabled on one
-    // and left disabled on the other. The disabled leg is what every
-    // untraced run pays for carrying the tracing branches — `bench_diff`
-    // holds it to the ≤2% budget against `sim_event_dispatch_boxed`.
+    // telemetry (histograms and flight recorder) enabled on one and left
+    // disabled on the other. The disabled leg is what every run without
+    // telemetry pays for carrying its branches — `bench_diff` holds it to
+    // the ≤2% budget against `sim_event_dispatch_boxed`.
     let mut off_sim = Simulator::new(1);
     off_sim.add_node(Box::new(TimerPingPong));
     off_sim.boot();
     bench(results, "telemetry", "sim_event_dispatch_telemetry_off", None, || off_sim.step());
     let mut sim = Simulator::new(1);
-    sim.enable_telemetry(hgw_core::TelemetryConfig::default());
+    sim.enable_telemetry();
     sim.add_node(Box::new(TimerPingPong));
     sim.boot();
     bench(results, "telemetry", "sim_event_dispatch_telemetry_on", None, || sim.step());

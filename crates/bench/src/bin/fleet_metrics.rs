@@ -1,7 +1,7 @@
-//! Instrumented fleet run: drives a fixed workload (one TCP upload plus a
-//! UDP-1 binding-timeout search) through every device of Table 1 with an
-//! observer attached — once sequentially, once with the configured
-//! parallelism — verifies the two campaigns produced identical results,
+//! Fleet metrics run: drives a fixed workload (one TCP upload plus a
+//! UDP-1 binding-timeout search) through every device of Table 1 — once
+//! sequentially, once with the configured parallelism — verifies the two
+//! campaigns produced identical results and per-device counters,
 //! prints a per-device scorecard plus the measured wall-clock speedup, and
 //! writes the machine-readable run manifests
 //! (`target/figures/manifest.json` and the repo-level `BENCH_fleet.json`).
@@ -77,7 +77,7 @@ fn run() -> Result<(), FleetError> {
         run_transfer(tb, 5001, Direction::Upload, bytes);
         measure_udp1(tb, 20_000).timeout_secs.to_bits()
     };
-    let runner = FleetRunner::new(&devices).seed(seed).instrumented(true).telemetry(true);
+    let runner = FleetRunner::new(&devices).seed(seed).telemetry(true);
 
     let sequential = runner.parallelism(Parallelism::Sequential).run(probe)?;
     let seq_scheduling = sequential.scheduling.clone();
@@ -85,7 +85,7 @@ fn run() -> Result<(), FleetError> {
     let scheduling = parallel.scheduling.clone();
 
     // Span timelines, per device, for the Perfetto export (taken before
-    // into_instrumented_results consumes the report).
+    // into_results_with_metrics consumes the report).
     let timelines: Vec<(String, hgw_core::SpanTimeline)> = parallel
         .devices
         .iter()
@@ -94,8 +94,8 @@ fn run() -> Result<(), FleetError> {
 
     // The determinism guarantee, enforced on every metrics run: identical
     // probe results and identical deterministic counters across modes.
-    let seq_results = sequential.into_instrumented_results()?;
-    let par_results = parallel.into_instrumented_results()?;
+    let seq_results = sequential.into_results_with_metrics()?;
+    let par_results = parallel.into_results_with_metrics()?;
     for ((seq_tag, seq_r, seq_m), (par_tag, par_r, par_m)) in
         seq_results.iter().zip(par_results.iter())
     {
@@ -179,9 +179,9 @@ fn run() -> Result<(), FleetError> {
 }
 
 /// The household leg: a multi-host mixed workload on every device, run
-/// with binding-lifecycle tracing under both parallelism modes, checked
-/// for bit-identity, folded into the manifest's `household` and
-/// `binding_lifecycle` blocks. Returns `None` when disabled via
+/// under both parallelism modes, checked for bit-identity, folded into the
+/// manifest's `household` and `binding_lifecycle` blocks (the latter from
+/// the always-on NAT lifecycle counters). Returns `None` when disabled via
 /// `HGW_HOUSEHOLD_HOSTS=0`.
 fn run_household(
     devices: &[DeviceProfile],
@@ -204,12 +204,11 @@ fn run_household(
         devices.len()
     );
     let probe = |tb: &mut hgw_testbed::Testbed, _: &DeviceProfile| measure_household(tb, &cfg);
-    let runner =
-        FleetRunner::new(devices).seed(seed).hosts(hosts).instrumented(true).lifecycle(true);
+    let runner = FleetRunner::new(devices).seed(seed).hosts(hosts);
 
     let seq =
-        runner.parallelism(Parallelism::Sequential).run(probe)?.into_instrumented_results()?;
-    let par = runner.parallelism(parallelism).run(probe)?.into_instrumented_results()?;
+        runner.parallelism(Parallelism::Sequential).run(probe)?.into_results_with_metrics()?;
+    let par = runner.parallelism(parallelism).run(probe)?.into_results_with_metrics()?;
     for ((seq_tag, seq_r, seq_m), (par_tag, par_r, par_m)) in seq.iter().zip(par.iter()) {
         assert_eq!(seq_tag, par_tag, "household device order must not depend on scheduling");
         assert_eq!(seq_r, par_r, "{seq_tag}: household report changed under {parallelism}");
@@ -333,10 +332,10 @@ fn run_mega(n: usize) -> Result<(), FleetError> {
         |tb: &mut hgw_testbed::Testbed, _: &DeviceProfile| measure_udp1(tb, 20_000).timeout_secs;
     let init = FleetDistributions::new;
     let fold = |acc: &mut FleetDistributions, s: FleetSample<'_, f64>| {
-        acc.record(s.device, s.result, s.metrics.as_ref());
+        acc.record(s.device, s.result, Some(&s.metrics));
     };
     let merge = |acc: &mut FleetDistributions, part: FleetDistributions| acc.merge(&part);
-    let runner = FleetRunner::new(&fleet).seed(seed).instrumented(true);
+    let runner = FleetRunner::new(&fleet).seed(seed);
 
     println!("mega-fleet: {n} synthetic devices (seed {seed}), sequential leg...");
     let seq = runner.parallelism(Parallelism::Sequential).run_fold(probe, init, fold, merge)?;

@@ -36,13 +36,12 @@ pub use pool::FramePool;
 pub use rng::SimRng;
 pub use sim::{SimCore, SimStats, Simulator};
 pub use telemetry::{
-    render_binding_tracks, render_chrome_trace, DelaySummaries, FlightRecorder, Histogram,
-    HistogramSummary, LifecycleRing, MetricsRegistry, SpanId, SpanTimeline, Telemetry,
-    TelemetryConfig,
+    render_chrome_trace, DelaySummaries, FlightRecorder, Histogram, HistogramSummary, SpanId,
+    SpanTimeline, Telemetry,
 };
 pub use time::{serialization_time, Duration, Instant};
 pub use trace::{
-    BindingLifecycle, CountingObserver, DropCounts, DropReason, EventLog, FlowId, LifecycleCounts,
-    LifecycleEvent, SimObserver, TraceEvent,
+    BindingLifecycle, DropCounts, DropReason, EventLog, FlowId, LifecycleCounts, LifecycleEvent,
+    SimObserver, TraceEvent,
 };
 pub use wheel::TimerWheel;

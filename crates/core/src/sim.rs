@@ -20,7 +20,7 @@ use crate::link::{Dir, Link, LinkConfig, LinkId};
 use crate::node::{Action, Node, NodeCtx, NodeId, PortId, TimerToken};
 use crate::pool::FramePool;
 use crate::rng::SimRng;
-use crate::telemetry::{Telemetry, TelemetryConfig};
+use crate::telemetry::Telemetry;
 use crate::time::{Duration, Instant};
 use crate::trace::{DropCounts, DropReason, SimObserver, TraceEvent};
 use crate::wheel::TimerWheel;
@@ -77,6 +77,8 @@ pub struct SimStats {
     pub unrouted_frames: u64,
     /// Frames delivered to node ports.
     pub frames_delivered: u64,
+    /// [`TraceEvent`]s emitted, whether or not an observer is attached.
+    pub trace_events: u64,
     /// Frames dropped anywhere in the stack, by reason. Link-level reasons
     /// are counted by the simulator itself; node-level reasons (NAT,
     /// checksum, TTL, …) arrive via [`Action::Trace`](crate::node::Action).
@@ -208,8 +210,8 @@ impl<K: SimNode> SimCore<K> {
     /// [`Telemetry`] instance through their [`NodeCtx`]. Telemetry is a
     /// pure sink — enabling it never changes behavior or statistics.
     /// Replaces any previous instance.
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = Some(Box::new(Telemetry::new(config)));
+    pub fn enable_telemetry(&mut self) {
+        self.telemetry = Some(Box::new(Telemetry::new()));
     }
 
     /// Shared access to the telemetry instance, if enabled.
@@ -230,34 +232,18 @@ impl<K: SimNode> SimCore<K> {
     }
 
     /// Updates aggregate statistics for `event` and forwards it to the
-    /// attached observer. The stats update happens whether or not an
-    /// observer is attached, so measurements never depend on observation.
+    /// flight recorder and the attached observer. The stats update happens
+    /// whether or not anything observes, so measurements never depend on
+    /// observation.
     fn emit(&mut self, node: NodeId, event: TraceEvent) {
+        self.stats.trace_events += 1;
         match &event {
             TraceEvent::FrameDropped { reason, .. } => self.stats.frames_dropped.add(*reason),
             TraceEvent::FrameDelivered { .. } => self.stats.frames_delivered += 1,
-            TraceEvent::BindingCreated { .. } => {}
-            // Lifecycle events are pure observability: no stats change.
-            TraceEvent::Binding { .. } => {}
+            // Binding events are counted where they happen, in the NAT table.
+            TraceEvent::BindingCreated { .. } | TraceEvent::Binding { .. } => {}
         }
         if let Some(t) = &mut self.telemetry {
-            match &event {
-                TraceEvent::FrameDropped { .. } => t.note_dropped(),
-                TraceEvent::FrameDelivered { .. } => t.note_delivered(),
-                TraceEvent::BindingCreated { .. } => {}
-                TraceEvent::Binding { flow, proto, external_port, lifecycle } => {
-                    t.record_lifecycle(
-                        node,
-                        crate::trace::LifecycleEvent {
-                            at: self.now,
-                            flow: *flow,
-                            proto: *proto,
-                            external_port: *external_port,
-                            lifecycle: *lifecycle,
-                        },
-                    );
-                }
-            }
             t.flight.record_event(self.now, node, event.clone());
         }
         if let Some(obs) = &mut self.observer {
@@ -497,7 +483,7 @@ impl<K: SimNode> SimCore<K> {
             return;
         };
         if let Some(t) = &mut self.telemetry {
-            t.record_queue_residency(self.now - enqueued_at);
+            t.queue_residency.record_duration(self.now - enqueued_at);
         }
         link.dirs[dir.index()].set_transmitting(true);
         let tx_end = self.now + link.tx_time(frame.len());
@@ -551,7 +537,7 @@ impl<K: SimNode> SimCore<K> {
         let (mut port, mut frame, mut enqueued_at) = (port, frame, enqueued_at);
         loop {
             if let Some(t) = &mut self.telemetry {
-                t.record_one_way_delay(self.now - enqueued_at);
+                t.one_way_delay.record_duration(self.now - enqueued_at);
                 t.flight.record_frame(self.now, &frame);
             }
             self.emit(id, TraceEvent::FrameDelivered { bytes: frame.len() });
@@ -1000,9 +986,10 @@ mod tests {
                 }
             });
             sim.run_until_idle(10_000);
-            let log = sim
-                .detach_observer()
-                .map(|o| o.as_any().downcast_ref::<EventLog>().expect("EventLog observer").drops());
+            let log = sim.detach_observer().map(|o| {
+                let log = o.as_any().downcast_ref::<EventLog>().expect("EventLog observer");
+                (log.drops(), log.len() as u64)
+            });
             (sim.stats(), log)
         };
         let (plain, none) = run(false);
@@ -1010,8 +997,10 @@ mod tests {
         assert!(none.is_none());
         // Observation is a pure sink: identical stats with and without it.
         assert_eq!(plain, observed);
-        // And the log's aggregate agrees with the stats.
-        assert_eq!(log.expect("observer attached"), observed.frames_dropped);
+        // And the log agrees with the always-on counters.
+        let (drops, events) = log.expect("observer attached");
+        assert_eq!(drops, observed.frames_dropped);
+        assert_eq!(events, observed.trace_events);
         assert!(observed.frames_dropped.by(DropReason::FaultInjection) > 0);
         // Node-emitted traces flow through Action::Trace.
         let mut sim = Simulator::new(1);
@@ -1025,7 +1014,6 @@ mod tests {
 
     #[test]
     fn telemetry_sees_delays_without_changing_stats() {
-        use crate::telemetry::TelemetryConfig;
         // The analogue of `observer_sees_events_without_changing_stats` for
         // the telemetry layer: identical stats and payload stream with and
         // without telemetry, under the nastiest fault mix.
@@ -1041,7 +1029,7 @@ mod tests {
             };
             let (mut sim, a, b) = two_node_sim(cfg);
             if enable {
-                sim.enable_telemetry(TelemetryConfig::default());
+                sim.enable_telemetry();
             }
             sim.with_node::<Echo, _>(a, |_, ctx| {
                 for i in 0..50u8 {
@@ -1068,7 +1056,6 @@ mod tests {
 
     #[test]
     fn telemetry_one_way_delay_has_known_value() {
-        use crate::telemetry::TelemetryConfig;
         // 1500 B at 100 Mb/s is 120 us serialization + 50 us propagation:
         // the single delivered frame's one-way delay is exactly 170 us.
         let cfg = LinkConfig {
@@ -1078,20 +1065,18 @@ mod tests {
             fault: FaultConfig::NONE,
         };
         let (mut sim, a, _b) = two_node_sim(cfg);
-        sim.enable_telemetry(TelemetryConfig::default());
+        sim.enable_telemetry();
         sim.with_node::<Echo, _>(a, |_, ctx| ctx.send_frame(PortId(0), vec![0u8; 1500]));
         sim.run_until_idle(100);
         let t = sim.telemetry().expect("enabled");
-        assert_eq!(t.one_way_delay().count(), 1);
-        assert_eq!(t.one_way_delay().max(), 170_000, "exact max is tracked");
+        assert_eq!(t.one_way_delay.count(), 1);
+        assert_eq!(t.one_way_delay.max(), 170_000, "exact max is tracked");
         // The frame hit an idle transmitter, so it spent no time queued.
-        assert_eq!(t.queue_residency().max(), 0);
-        assert_eq!(t.metrics.counter_value("frames.delivered"), Some(1));
+        assert_eq!(t.queue_residency.max(), 0);
     }
 
     #[test]
     fn telemetry_queue_residency_reflects_backlog() {
-        use crate::telemetry::TelemetryConfig;
         // Same setup as `queuing_delay_emerges_from_backlog`: 10 frames of
         // 1250 B at 1 Mb/s (10 ms each). The last frame waits 9 full
         // serializations in the queue: 90 ms.
@@ -1102,7 +1087,7 @@ mod tests {
             fault: FaultConfig::NONE,
         };
         let (mut sim, a, _b) = two_node_sim(cfg);
-        sim.enable_telemetry(TelemetryConfig::default());
+        sim.enable_telemetry();
         sim.with_node::<Echo, _>(a, |_, ctx| {
             for _ in 0..10 {
                 ctx.send_frame(PortId(0), vec![0u8; 1250]);
@@ -1110,32 +1095,29 @@ mod tests {
         });
         sim.run_until_idle(1000);
         let t = sim.telemetry().expect("enabled");
-        assert_eq!(t.queue_residency().count(), 10);
-        assert_eq!(t.queue_residency().max(), 90_000_000);
+        assert_eq!(t.queue_residency.count(), 10);
+        assert_eq!(t.queue_residency.max(), 90_000_000);
         // One-way delay of the last frame: 90 ms queued + 10 ms on the wire.
-        assert_eq!(t.one_way_delay().max(), 100_000_000);
+        assert_eq!(t.one_way_delay.max(), 100_000_000);
     }
 
     #[test]
     fn flight_recorder_keeps_the_most_recent_frames() {
-        use crate::telemetry::TelemetryConfig;
+        use crate::telemetry::FLIGHT_FRAMES;
         let (mut sim, a, _b) = two_node_sim(LinkConfig::ethernet_100m());
-        sim.enable_telemetry(TelemetryConfig {
-            flight_events: 4,
-            flight_frames: 2,
-            ..TelemetryConfig::default()
-        });
+        sim.enable_telemetry();
+        let sent = FLIGHT_FRAMES + 6;
         sim.with_node::<Echo, _>(a, |_, ctx| {
-            for i in 0..10u8 {
-                ctx.send_frame(PortId(0), vec![i; 32]);
+            for i in 0..sent {
+                ctx.send_frame(PortId(0), vec![i as u8; 32]);
             }
         });
         sim.run_until_idle(1000);
         let t = sim.telemetry().expect("enabled");
-        assert_eq!(t.flight.frame_count(), 2);
-        let firsts: Vec<u8> = t.flight.frames().map(|(_, f)| f[0]).collect();
-        assert_eq!(firsts, vec![8, 9], "ring holds the last two deliveries");
-        assert_eq!(t.flight.event_count(), 4);
+        assert_eq!(t.flight.frame_count(), FLIGHT_FRAMES);
+        let firsts: Vec<usize> = t.flight.frames().map(|(_, f)| f[0] as usize).collect();
+        assert_eq!(firsts, (6..sent).collect::<Vec<_>>(), "ring holds the last deliveries");
+        assert_eq!(t.flight.event_count(), sent, "one delivery event per frame");
     }
 
     #[test]

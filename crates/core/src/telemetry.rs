@@ -1,5 +1,5 @@
-//! First-class telemetry: a metrics registry, HDR-style latency histograms,
-//! experiment span timelines, and a crash-scene flight recorder.
+//! First-class telemetry: HDR-style latency histograms, experiment span
+//! timelines, and a crash-scene flight recorder.
 //!
 //! The paper's TCP-3 experiment reconstructs queuing + processing delay
 //! inside the gateway from timestamps embedded in the bulk payload; this
@@ -11,19 +11,20 @@
 //!
 //! Pieces:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and [`Histogram`]s with
-//!   index-based handles so the steady-state record path is an array slot
-//!   update, no hashing and no allocation.
 //! * [`Histogram`] — log-linear (HDR-style) bucketing over the full `u64`
 //!   range with 16 sub-buckets per octave (≤ 6.25% relative error), an
-//!   exact maximum, and associative merging across per-worker registries.
+//!   exact maximum, and associative merging across per-worker histograms.
 //! * [`SpanTimeline`] — named begin/end spans over simulated time,
 //!   exportable as Chrome trace-event JSON ([`render_chrome_trace`]) that
 //!   loads directly in Perfetto or `chrome://tracing`.
 //! * [`FlightRecorder`] — bounded rings of the last N trace events and
 //!   delivered frames, dumped to a pcap + JSON pair when a device fails.
 //! * [`Telemetry`] — the umbrella the simulator owns when telemetry is
-//!   enabled, with the three well-known delay histograms pre-registered.
+//!   enabled: the three delay histograms, the timeline and the recorder.
+//!
+//! Per-device counters (frames, drops, trace events, NAT binding
+//! lifecycles) are not telemetry: they are always on, in
+//! [`SimStats`](crate::SimStats) and the gateway's NAT table.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -32,7 +33,7 @@ use std::path::{Path, PathBuf};
 use crate::node::NodeId;
 use crate::pcap::PcapWriter;
 use crate::time::{Duration, Instant};
-use crate::trace::{BindingLifecycle, FlowId, LifecycleEvent, TraceEvent};
+use crate::trace::TraceEvent;
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -246,153 +247,6 @@ pub struct HistogramSummary {
     pub p99: u64,
     /// Exact maximum recorded value.
     pub max: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
-
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A registry of named counters, gauges and histograms.
-///
-/// Registration (cold path) does a linear name scan and may allocate; the
-/// returned id makes every subsequent update a direct slot access, so hot
-/// loops pay one bounds-checked array index per sample. Names are
-/// `&'static str` by design: metric names are code, not data.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, i64)>,
-    histograms: Vec<(&'static str, Histogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Registers (or finds) a counter and returns its handle.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Increments a counter by 1.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0].1 += 1;
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].1 += n;
-    }
-
-    /// Registers (or finds) a gauge and returns its handle.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| *n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name, 0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Sets a gauge to `v`.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: i64) {
-        self.gauges[id.0].1 = v;
-    }
-
-    /// Registers (or finds) a histogram and returns its handle.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| *n == name) {
-            return HistogramId(i);
-        }
-        self.histograms.push((name, Histogram::new()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Records a value into a histogram.
-    #[inline]
-    pub fn record(&mut self, id: HistogramId, v: u64) {
-        self.histograms[id.0].1.record(v);
-    }
-
-    /// Records a [`Duration`] (as nanoseconds) into a histogram.
-    #[inline]
-    pub fn record_duration(&mut self, id: HistogramId, d: Duration) {
-        self.histograms[id.0].1.record_duration(d);
-    }
-
-    /// Shared access to a histogram by handle.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
-    /// A counter's value by name, if registered.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
-
-    /// A gauge's value by name, if registered.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
-
-    /// A histogram by name, if registered.
-    pub fn histogram_named(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
-    }
-
-    /// Iterates `(name, value)` over all counters in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(n, v)| (*n, *v))
-    }
-
-    /// Iterates `(name, value)` over all gauges in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, i64)> + '_ {
-        self.gauges.iter().map(|(n, v)| (*n, *v))
-    }
-
-    /// Iterates `(name, histogram)` in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(n, h)| (*n, h))
-    }
-
-    /// Folds another registry into this one by metric name (counters add,
-    /// gauges take the other's value, histograms merge). Names unknown to
-    /// `self` are registered. This is how per-worker registries combine
-    /// into a campaign-wide view.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.add(id, *v);
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.set(id, *v);
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(h);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -685,180 +539,13 @@ fn event_json(at: Instant, node: NodeId, event: &TraceEvent) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Binding-lifecycle ring
-// ---------------------------------------------------------------------------
-
-/// A bounded ring of the most recent [`LifecycleEvent`]s seen by one
-/// device's simulator — the per-device store behind fleet churn
-/// aggregation and the `nat_timeline` inspector.
-///
-/// Like the flight recorder it evicts oldest-first past capacity, but it
-/// also keeps an eviction counter so downstream consumers can tell "the
-/// run produced exactly these events" from "the window slid".
-#[derive(Debug)]
-pub struct LifecycleRing {
-    max_events: usize,
-    events: VecDeque<(NodeId, LifecycleEvent)>,
-    evicted: u64,
-}
-
-impl LifecycleRing {
-    /// A ring keeping the last `max_events` lifecycle events.
-    pub fn new(max_events: usize) -> LifecycleRing {
-        LifecycleRing {
-            max_events,
-            events: VecDeque::with_capacity(max_events.min(4096)),
-            evicted: 0,
-        }
-    }
-
-    /// Records one event, evicting the oldest past capacity.
-    pub fn record(&mut self, node: NodeId, event: LifecycleEvent) {
-        if self.max_events == 0 {
-            return;
-        }
-        if self.events.len() >= self.max_events {
-            self.events.pop_front();
-            self.evicted += 1;
-        }
-        self.events.push_back((node, event));
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(NodeId, LifecycleEvent)> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted because the window slid (0 = the ring saw it all).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Drains the retained events, oldest first (harvest).
-    pub fn drain(&mut self) -> Vec<(NodeId, LifecycleEvent)> {
-        self.events.drain(..).collect()
-    }
-}
-
-/// Renders lifecycle events as Chrome trace-event JSON with **one track
-/// per binding**: each distinct [`FlowId`] becomes a named thread (`tid` =
-/// first-seen order), every lifecycle step an instant event on that
-/// track, and each `Created → Expired` interval a `"ph": "X"` complete
-/// span — so a run's binding table reads as a Gantt chart in Perfetto.
-/// `pid` is the emitting node id, letting multi-gateway topologies keep
-/// their tables apart.
-pub fn render_binding_tracks(events: &[(NodeId, LifecycleEvent)]) -> String {
-    let mut flows: Vec<FlowId> = Vec::new();
-    let mut rows = Vec::new();
-    let tid_of =
-        |flows: &mut Vec<FlowId>, rows: &mut Vec<String>, e: &(NodeId, LifecycleEvent)| match flows
-            .iter()
-            .position(|&f| f == e.1.flow)
-        {
-            Some(i) => i,
-            None => {
-                flows.push(e.1.flow);
-                let tid = flows.len() - 1;
-                rows.push(format!(
-                    "{{\"ph\": \"M\", \"pid\": {}, \"tid\": {}, \"name\": \"thread_name\", \
-                     \"args\": {{\"name\": \"flow {:016x} p{}:{}\"}}}}",
-                    e.0 .0, tid, e.1.flow.0, e.1.proto, e.1.external_port
-                ));
-                tid
-            }
-        };
-    // Open-interval starts: (flow, created_ns), closed at Expired.
-    let mut open: Vec<(FlowId, u64)> = Vec::new();
-    for e in events {
-        let tid = tid_of(&mut flows, &mut rows, e);
-        let ts = e.1.at.as_nanos();
-        rows.push(format!(
-            "{{\"ph\": \"i\", \"pid\": {}, \"tid\": {}, \"name\": \"{}\", \"ts\": {}, \
-             \"s\": \"t\"}}",
-            e.0 .0,
-            tid,
-            e.1.lifecycle.kind_name(),
-            trace_us(ts)
-        ));
-        match e.1.lifecycle {
-            BindingLifecycle::Created { .. } => open.push((e.1.flow, ts)),
-            BindingLifecycle::Expired => {
-                if let Some(i) = open.iter().position(|(f, _)| *f == e.1.flow) {
-                    let (_, start) = open.swap_remove(i);
-                    rows.push(format!(
-                        "{{\"ph\": \"X\", \"pid\": {}, \"tid\": {}, \"name\": \"bound :{}\", \
-                         \"ts\": {}, \"dur\": {}}}",
-                        e.0 .0,
-                        tid,
-                        e.1.external_port,
-                        trace_us(start),
-                        trace_us(ts.saturating_sub(start))
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    format!("{{\"traceEvents\": [\n{}\n]}}\n", rows.join(",\n"))
-}
-
-// ---------------------------------------------------------------------------
 // Telemetry umbrella
 // ---------------------------------------------------------------------------
 
-/// Sizing knobs for a [`Telemetry`] instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Flight-recorder trace-event ring capacity.
-    pub flight_events: usize,
-    /// Flight-recorder frame ring capacity.
-    pub flight_frames: usize,
-    /// Binding-lifecycle ring capacity (events retained per device).
-    pub lifecycle_events: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { flight_events: 256, flight_frames: 64, lifecycle_events: 4096 }
-    }
-}
-
-impl TelemetryConfig {
-    /// Reads `HGW_TELEMETRY_FLIGHT_EVENTS` / `HGW_TELEMETRY_FLIGHT_FRAMES`
-    /// / `HGW_TELEMETRY_LIFECYCLE_EVENTS`, falling back to the defaults
-    /// (256 events, 64 frames, 4096 lifecycle events) when unset or
-    /// unparseable.
-    pub fn from_env() -> TelemetryConfig {
-        let read = |key: &str, default: usize| {
-            std::env::var(key).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-        };
-        let d = TelemetryConfig::default();
-        TelemetryConfig {
-            flight_events: read("HGW_TELEMETRY_FLIGHT_EVENTS", d.flight_events),
-            flight_frames: read("HGW_TELEMETRY_FLIGHT_FRAMES", d.flight_frames),
-            lifecycle_events: read("HGW_TELEMETRY_LIFECYCLE_EVENTS", d.lifecycle_events),
-        }
-    }
-}
-
-/// True when the `HGW_TELEMETRY` environment toggle asks for telemetry
-/// (`1`, `true`, `on`, `yes`; anything else, or unset, is off).
-pub fn telemetry_enabled_from_env() -> bool {
-    matches!(
-        std::env::var("HGW_TELEMETRY").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on") | Ok("yes")
-    )
-}
+/// Trace events the flight recorder of a [`Telemetry`] instance retains.
+pub const FLIGHT_EVENTS: usize = 256;
+/// Delivered frames the flight recorder of a [`Telemetry`] instance retains.
+pub const FLIGHT_FRAMES: usize = 64;
 
 /// The flight-recorder dump directory: `HGW_TELEMETRY_DUMP_DIR`, or
 /// `target/flight-recorder` when unset.
@@ -881,117 +568,50 @@ pub struct DelaySummaries {
     pub nat_processing: HistogramSummary,
 }
 
-/// Everything the simulator owns when telemetry is enabled: the registry,
-/// the span timeline, the flight recorder, and handles to the three
-/// built-in delay histograms.
+/// Everything the simulator owns when telemetry is enabled: the three
+/// delay histograms, the span timeline and the flight recorder.
 ///
 /// Boxed behind `Option` in the simulator, so the disabled path costs one
 /// pointer-null check per instrumentation site.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Named counters, gauges and histograms.
-    pub metrics: MetricsRegistry,
+    /// Per-packet one-way delay (link enqueue → delivery), ns.
+    pub one_way_delay: Histogram,
+    /// Per-frame link transmit-queue residency (enqueue → head of line), ns.
+    pub queue_residency: Histogram,
+    /// Per-packet gateway NAT/forwarding processing delay, ns.
+    pub nat_processing: Histogram,
     /// Experiment phase spans over simulated time.
     pub spans: SpanTimeline,
-    /// Bounded crash-scene rings.
+    /// Bounded crash-scene rings ([`FLIGHT_EVENTS`] events,
+    /// [`FLIGHT_FRAMES`] frames).
     pub flight: FlightRecorder,
-    /// Bounded ring of binding-lifecycle events (empty unless the
-    /// gateway's lifecycle tracing is on).
-    pub lifecycle: LifecycleRing,
-    h_one_way: HistogramId,
-    h_residency: HistogramId,
-    h_nat: HistogramId,
-    c_delivered: CounterId,
-    c_dropped: CounterId,
 }
 
-/// Registry name of the one-way-delay histogram.
-pub const H_ONE_WAY_DELAY: &str = "delay.one_way_ns";
-/// Registry name of the link queue-residency histogram.
-pub const H_QUEUE_RESIDENCY: &str = "delay.queue_residency_ns";
-/// Registry name of the gateway NAT-processing-delay histogram.
-pub const H_NAT_PROCESSING: &str = "delay.nat_processing_ns";
+impl Default for Telemetry {
+    fn default() -> Self {
+        Telemetry::new()
+    }
+}
 
 impl Telemetry {
-    /// A fresh telemetry instance with the built-in metrics registered.
-    pub fn new(config: TelemetryConfig) -> Telemetry {
-        let mut metrics = MetricsRegistry::new();
-        let h_one_way = metrics.histogram(H_ONE_WAY_DELAY);
-        let h_residency = metrics.histogram(H_QUEUE_RESIDENCY);
-        let h_nat = metrics.histogram(H_NAT_PROCESSING);
-        let c_delivered = metrics.counter("frames.delivered");
-        let c_dropped = metrics.counter("frames.dropped");
+    /// A fresh telemetry instance: empty histograms and timeline.
+    pub fn new() -> Telemetry {
         Telemetry {
-            metrics,
+            one_way_delay: Histogram::new(),
+            queue_residency: Histogram::new(),
+            nat_processing: Histogram::new(),
             spans: SpanTimeline::new(),
-            flight: FlightRecorder::new(config.flight_events, config.flight_frames),
-            lifecycle: LifecycleRing::new(config.lifecycle_events),
-            h_one_way,
-            h_residency,
-            h_nat,
-            c_delivered,
-            c_dropped,
+            flight: FlightRecorder::new(FLIGHT_EVENTS, FLIGHT_FRAMES),
         }
     }
 
-    /// Records one per-packet one-way delay sample (link enqueue →
-    /// delivery).
-    #[inline]
-    pub fn record_one_way_delay(&mut self, d: Duration) {
-        self.metrics.record_duration(self.h_one_way, d);
-    }
-
-    /// Records one link transmit-queue residency sample.
-    #[inline]
-    pub fn record_queue_residency(&mut self, d: Duration) {
-        self.metrics.record_duration(self.h_residency, d);
-    }
-
-    /// Records one gateway NAT/forwarding processing-delay sample.
-    #[inline]
-    pub fn record_nat_processing(&mut self, d: Duration) {
-        self.metrics.record_duration(self.h_nat, d);
-    }
-
-    /// Counts a delivered frame.
-    #[inline]
-    pub fn note_delivered(&mut self) {
-        self.metrics.inc(self.c_delivered);
-    }
-
-    /// Counts a dropped frame.
-    #[inline]
-    pub fn note_dropped(&mut self) {
-        self.metrics.inc(self.c_dropped);
-    }
-
-    /// Records a binding-lifecycle event into the bounded ring.
-    #[inline]
-    pub fn record_lifecycle(&mut self, node: NodeId, event: LifecycleEvent) {
-        self.lifecycle.record(node, event);
-    }
-
-    /// The one-way-delay histogram.
-    pub fn one_way_delay(&self) -> &Histogram {
-        self.metrics.histogram_ref(self.h_one_way)
-    }
-
-    /// The queue-residency histogram.
-    pub fn queue_residency(&self) -> &Histogram {
-        self.metrics.histogram_ref(self.h_residency)
-    }
-
-    /// The NAT-processing-delay histogram.
-    pub fn nat_processing(&self) -> &Histogram {
-        self.metrics.histogram_ref(self.h_nat)
-    }
-
-    /// Summaries of the three built-in delay histograms.
+    /// Summaries of the three delay histograms.
     pub fn delay_summaries(&self) -> DelaySummaries {
         DelaySummaries {
-            one_way: self.one_way_delay().summary(),
-            queue_residency: self.queue_residency().summary(),
-            nat_processing: self.nat_processing().summary(),
+            one_way: self.one_way_delay.summary(),
+            queue_residency: self.queue_residency.summary(),
+            nat_processing: self.nat_processing.summary(),
         }
     }
 }
@@ -999,7 +619,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::DropReason;
+    use crate::trace::{BindingLifecycle, DropReason, FlowId};
 
     #[test]
     fn small_values_are_exact() {
@@ -1073,42 +693,6 @@ mod tests {
         assert_eq!(merged.count(), 3);
         assert_eq!(merged.max(), 1_000_000);
         assert_eq!(merged.sum(), a.sum() + b.sum());
-    }
-
-    #[test]
-    fn registry_ids_are_stable_and_named_lookup_works() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("frames");
-        let c2 = r.counter("frames");
-        assert_eq!(c, c2, "re-registration returns the same handle");
-        r.inc(c);
-        r.add(c, 4);
-        assert_eq!(r.counter_value("frames"), Some(5));
-        let g = r.gauge("depth");
-        r.set(g, -3);
-        assert_eq!(r.gauge_value("depth"), Some(-3));
-        let h = r.histogram("lat");
-        r.record(h, 42);
-        r.record_duration(h, Duration::from_micros(1));
-        assert_eq!(r.histogram_named("lat").unwrap().count(), 2);
-        assert_eq!(r.histogram_named("lat").unwrap().max(), 1000);
-        assert_eq!(r.counters().count(), 1);
-        assert_eq!(r.histograms().count(), 1);
-    }
-
-    #[test]
-    fn registry_merge_folds_by_name() {
-        let mut a = MetricsRegistry::new();
-        let ca = a.counter("x");
-        a.add(ca, 2);
-        let mut b = MetricsRegistry::new();
-        let hb = b.histogram("lat");
-        b.record(hb, 7);
-        let cb = b.counter("x");
-        b.add(cb, 3);
-        a.merge_from(&b);
-        assert_eq!(a.counter_value("x"), Some(5));
-        assert_eq!(a.histogram_named("lat").unwrap().count(), 1);
     }
 
     #[test]
@@ -1202,29 +786,16 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_umbrella_prewires_delay_histograms() {
-        let mut t = Telemetry::new(TelemetryConfig::default());
-        t.record_one_way_delay(Duration::from_micros(170));
-        t.record_queue_residency(Duration::from_micros(30));
-        t.record_nat_processing(Duration::from_micros(120));
-        t.note_delivered();
-        t.note_dropped();
+    fn telemetry_umbrella_summarizes_delay_histograms() {
+        let mut t = Telemetry::new();
+        t.one_way_delay.record_duration(Duration::from_micros(170));
+        t.queue_residency.record_duration(Duration::from_micros(30));
+        t.nat_processing.record_duration(Duration::from_micros(120));
         let s = t.delay_summaries();
         assert_eq!(s.one_way.count, 1);
         assert_eq!(s.one_way.max, 170_000);
         assert_eq!(s.queue_residency.count, 1);
         assert_eq!(s.nat_processing.count, 1);
-        assert_eq!(t.metrics.counter_value("frames.delivered"), Some(1));
-        assert_eq!(t.metrics.counter_value("frames.dropped"), Some(1));
-        assert!(t.metrics.histogram_named(H_ONE_WAY_DELAY).is_some());
-    }
-
-    #[test]
-    fn config_defaults() {
-        let c = TelemetryConfig::default();
-        assert_eq!(c.flight_events, 256);
-        assert_eq!(c.flight_frames, 64);
-        assert_eq!(c.lifecycle_events, 4096);
     }
 
     #[test]
@@ -1247,12 +818,11 @@ mod tests {
 
     #[test]
     fn flight_recorder_dump_wraps_oldest_first() {
-        // Satellite regression: record more events than the ring holds
-        // (the `HGW_TELEMETRY_FLIGHT_EVENTS` default) and prove the dump
-        // contains exactly the newest `max_events`, oldest-first.
+        // Record more events than the ring holds (`FLIGHT_EVENTS`) and prove
+        // the dump contains exactly the newest `max_events`, oldest-first.
         let dir = std::env::temp_dir().join("hgw-flight-wrap-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let cap = TelemetryConfig::default().flight_events;
+        let cap = FLIGHT_EVENTS;
         let total = cap + 44;
         let mut fr = FlightRecorder::new(cap, 1);
         for i in 0..total {
@@ -1278,80 +848,6 @@ mod tests {
         assert_eq!(*stamps.last().unwrap(), (total as u64 - 1) * 1000);
         assert!(stamps.windows(2).all(|w| w[0] < w[1]), "oldest-first ordering");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lifecycle_ring_bounds_and_counts_evictions() {
-        let mut ring = LifecycleRing::new(3);
-        for i in 0..5u64 {
-            ring.record(
-                NodeId(1),
-                LifecycleEvent {
-                    at: Instant::from_micros(i),
-                    flow: FlowId(i),
-                    proto: 17,
-                    external_port: 5000,
-                    lifecycle: BindingLifecycle::Refreshed,
-                },
-            );
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.evicted(), 2);
-        let first = ring.events().next().unwrap();
-        assert_eq!(first.1.flow, FlowId(2), "oldest two evicted");
-        let drained = ring.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(ring.is_empty());
-
-        let mut zero = LifecycleRing::new(0);
-        zero.record(
-            NodeId(0),
-            LifecycleEvent {
-                at: Instant::ZERO,
-                flow: FlowId(0),
-                proto: 17,
-                external_port: 0,
-                lifecycle: BindingLifecycle::Expired,
-            },
-        );
-        assert!(zero.is_empty());
-        assert_eq!(zero.evicted(), 0);
-    }
-
-    #[test]
-    fn binding_tracks_render_one_thread_per_flow() {
-        let ev = |us: u64, flow: u64, lifecycle| {
-            (
-                NodeId(3),
-                LifecycleEvent {
-                    at: Instant::from_micros(us),
-                    flow: FlowId(flow),
-                    proto: 17,
-                    external_port: 61_000,
-                    lifecycle,
-                },
-            )
-        };
-        let events = [
-            ev(10, 0xaa, BindingLifecycle::Created { port_preserved: true }),
-            ev(20, 0xaa, BindingLifecycle::Refreshed),
-            ev(15, 0xbb, BindingLifecycle::Created { port_preserved: false }),
-            ev(120, 0xaa, BindingLifecycle::Expired),
-            ev(121, 0xaa, BindingLifecycle::Quarantined),
-        ];
-        let json = render_binding_tracks(&events);
-        // Two flows → two thread-name metadata rows on distinct tids.
-        assert!(json.contains("\"name\": \"flow 00000000000000aa p17:61000\""));
-        assert!(json.contains("\"name\": \"flow 00000000000000bb p17:61000\""));
-        assert!(json.contains("\"tid\": 1"));
-        // Created → Expired renders a complete span covering the life.
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"name\": \"bound :61000\""));
-        assert!(json.contains("\"ts\": 10.000, \"dur\": 110.000"));
-        // Every lifecycle step is an instant event.
-        assert!(json.contains("\"name\": \"quarantined\""));
-        assert_eq!(json.matches("\"ph\": \"i\"").count(), events.len());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -177,8 +177,9 @@ impl FlowId {
     }
 }
 
-/// One step in a NAT binding's life, emitted from every `NatTable`
-/// mutation site when lifecycle tracing is enabled.
+/// One step in a NAT binding's life. Every `NatTable` mutation site counts
+/// it (always on, in [`LifecycleCounts`]); it is emitted as a
+/// [`TraceEvent::Binding`] only when lifecycle tracing is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindingLifecycle {
     /// A fresh binding was created for the flow.
@@ -264,11 +265,19 @@ impl LifecycleCounts {
             *slot += v;
         }
     }
+
+    /// The events counted since `earlier`, a snapshot of the same counters.
+    pub fn since(&self, earlier: &LifecycleCounts) -> LifecycleCounts {
+        let mut delta = *self;
+        for (slot, v) in delta.0.iter_mut().zip(earlier.0.iter()) {
+            *slot -= v;
+        }
+        delta
+    }
 }
 
-/// One timestamped lifecycle record: the unit the gateway's trace buffer,
-/// the telemetry lifecycle ring, and the `nat_timeline` inspector all
-/// exchange.
+/// One timestamped lifecycle record: the unit the gateway's trace buffer
+/// and the `nat_timeline` inspector exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecycleEvent {
     /// Virtual time of the mutation.
@@ -336,8 +345,9 @@ pub trait SimObserver {
 
 /// An in-memory observer that records every event with its timestamp.
 ///
-/// Suitable for tests and per-device scorecards; for multi-hour simulated
-/// workloads prefer [`CountingObserver`], which is O(1) in memory.
+/// Suitable for tests, per-device scorecards and lifecycle timelines; the
+/// always-on counters in [`SimStats`](crate::SimStats) cost nothing and
+/// cover multi-hour simulated workloads.
 #[derive(Debug, Default)]
 pub struct EventLog {
     events: Vec<(Instant, NodeId, TraceEvent)>,
@@ -380,43 +390,6 @@ impl EventLog {
 impl SimObserver for EventLog {
     fn on_event(&mut self, at: Instant, node: NodeId, event: &TraceEvent) {
         self.events.push((at, node, event.clone()));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// A constant-memory observer keeping only aggregate counters.
-#[derive(Debug, Default)]
-pub struct CountingObserver {
-    /// Total events seen.
-    pub events: u64,
-    /// Frames delivered to nodes.
-    pub delivered: u64,
-    /// Drops by reason.
-    pub drops: DropCounts,
-    /// NAT bindings created.
-    pub bindings_created: u64,
-    /// Binding-lifecycle events by kind (all zero unless tracing is on).
-    pub lifecycle: LifecycleCounts,
-}
-
-impl CountingObserver {
-    /// A zeroed counter set.
-    pub fn new() -> CountingObserver {
-        CountingObserver::default()
-    }
-}
-
-impl SimObserver for CountingObserver {
-    fn on_event(&mut self, _at: Instant, _node: NodeId, event: &TraceEvent) {
-        self.events += 1;
-        match event {
-            TraceEvent::FrameDropped { reason, .. } => self.drops.add(*reason),
-            TraceEvent::FrameDelivered { .. } => self.delivered += 1,
-            TraceEvent::BindingCreated { .. } => self.bindings_created += 1,
-            TraceEvent::Binding { lifecycle, .. } => self.lifecycle.add(*lifecycle),
-        }
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -517,20 +490,9 @@ mod tests {
         d.merge(&c);
         assert_eq!(d.by(BindingLifecycle::Expired), 2);
         assert_eq!(d.total(), 4);
+        let mut expired = LifecycleCounts::ZERO;
+        expired.add(BindingLifecycle::Expired);
+        assert_eq!(d.since(&c), expired, "the delta is what was added after the snapshot");
         assert_eq!(c.iter().map(|(_, n)| n).sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn counting_observer_counts() {
-        let mut c = CountingObserver::new();
-        c.on_event(
-            Instant::ZERO,
-            NodeId(0),
-            &TraceEvent::BindingCreated { external_port: 5000, port_preserved: true },
-        );
-        c.on_event(Instant::ZERO, NodeId(0), &TraceEvent::FrameDelivered { bytes: 1 });
-        assert_eq!(c.events, 2);
-        assert_eq!(c.delivered, 1);
-        assert_eq!(c.bindings_created, 1);
     }
 }

@@ -1262,7 +1262,7 @@ impl Node for Gateway {
                 if let Some((frame, entered_at)) = self.engine.complete(FwdDir::Up) {
                     let delay = ctx.now() - entered_at;
                     if let Some(t) = ctx.telemetry() {
-                        t.record_nat_processing(delay);
+                        t.nat_processing.record_duration(delay);
                     }
                     ctx.send_frame(WAN_PORT, frame);
                 }
@@ -1272,7 +1272,7 @@ impl Node for Gateway {
                 if let Some((frame, entered_at)) = self.engine.complete(FwdDir::Down) {
                     let delay = ctx.now() - entered_at;
                     if let Some(t) = ctx.telemetry() {
-                        t.record_nat_processing(delay);
+                        t.nat_processing.record_duration(delay);
                     }
                     ctx.send_frame(LAN_PORT, frame);
                 }

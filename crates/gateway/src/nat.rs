@@ -29,7 +29,8 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use hgw_core::{
-    BindingLifecycle, DropReason, Duration, FixedMap, FlowId, Instant, LifecycleEvent, TimerWheel,
+    BindingLifecycle, DropReason, Duration, FixedMap, FlowId, Instant, LifecycleCounts,
+    LifecycleEvent, TimerWheel,
 };
 
 use crate::policy::{EndpointScope, GatewayPolicy, PortAssignment, TrafficPattern};
@@ -226,6 +227,9 @@ pub struct NatTable {
     /// in; doubles on each decimation pass.
     occupancy_stride: u32,
     occupancy_skipped: u32,
+    /// Lifecycle events by kind over the table's lifetime. Always on,
+    /// counted at the same sites that feed the trace buffer.
+    lifecycle: LifecycleCounts,
     /// Binding-lifecycle trace buffer, `Some` only while tracing is on.
     /// Events are recorded at every mutation site in mutation order and
     /// drained by the owner (the gateway) after each table call; the
@@ -271,6 +275,7 @@ impl NatTable {
             occupancy_log: Vec::new(),
             occupancy_stride: 1,
             occupancy_skipped: 0,
+            lifecycle: LifecycleCounts::ZERO,
             trace: None,
         }
     }
@@ -304,9 +309,15 @@ impl NatTable {
         }
     }
 
-    /// Records one lifecycle event if tracing is on (one discriminant
-    /// check on the disabled path; the flow hash is only computed when
-    /// enabled).
+    /// Lifecycle events by kind over the table's lifetime, counted whether
+    /// or not tracing is on.
+    pub fn lifecycle_counts(&self) -> LifecycleCounts {
+        self.lifecycle
+    }
+
+    /// Counts one lifecycle event and records it if tracing is on (one
+    /// discriminant check on the disabled path; the flow hash is only
+    /// computed when enabled).
     #[inline]
     fn trace_push(
         &mut self,
@@ -317,6 +328,7 @@ impl NatTable {
         external_port: u16,
         lifecycle: BindingLifecycle,
     ) {
+        self.lifecycle.add(lifecycle);
         if let Some(buf) = &mut self.trace {
             buf.push(LifecycleEvent {
                 at,
@@ -684,27 +696,25 @@ impl NatTable {
         });
         self.stats.peak_bindings = self.stats.peak_bindings.max(self.bindings.len());
         self.record_occupancy(now);
-        if self.trace.is_some() {
+        self.trace_push(
+            now,
+            proto,
+            internal,
+            remote,
+            external_port,
+            BindingLifecycle::Created { port_preserved: external_port == internal.1 },
+        );
+        // Same tuple, same port, still inside the quarantine window:
+        // the UDP-4 "reuse" observation, made causal.
+        if self.quarantine.contains_key(&(proto, internal, remote, external_port)) {
             self.trace_push(
                 now,
                 proto,
                 internal,
                 remote,
                 external_port,
-                BindingLifecycle::Created { port_preserved: external_port == internal.1 },
+                BindingLifecycle::PortPreservedReuse,
             );
-            // Same tuple, same port, still inside the quarantine window:
-            // the UDP-4 "reuse" observation, made causal.
-            if self.quarantine.contains_key(&(proto, internal, remote, external_port)) {
-                self.trace_push(
-                    now,
-                    proto,
-                    internal,
-                    remote,
-                    external_port,
-                    BindingLifecycle::PortPreservedReuse,
-                );
-            }
         }
         OutboundVerdict::Translated { external_port, created: true }
     }
@@ -831,6 +841,7 @@ pub(crate) mod reference {
         occupancy_log: Vec<(Instant, usize)>,
         occupancy_stride: u32,
         occupancy_skipped: u32,
+        lifecycle: LifecycleCounts,
         trace: Option<Vec<LifecycleEvent>>,
     }
 
@@ -844,6 +855,7 @@ pub(crate) mod reference {
                 occupancy_log: Vec::new(),
                 occupancy_stride: 1,
                 occupancy_skipped: 0,
+                lifecycle: LifecycleCounts::ZERO,
                 trace: None,
             }
         }
@@ -858,6 +870,10 @@ pub(crate) mod reference {
             self.trace.as_deref().unwrap_or(&[])
         }
 
+        pub fn lifecycle_counts(&self) -> LifecycleCounts {
+            self.lifecycle
+        }
+
         fn trace_push(
             &mut self,
             at: Instant,
@@ -867,6 +883,7 @@ pub(crate) mod reference {
             external_port: u16,
             lifecycle: BindingLifecycle,
         ) {
+            self.lifecycle.add(lifecycle);
             if let Some(buf) = &mut self.trace {
                 buf.push(LifecycleEvent {
                     at,
@@ -1102,31 +1119,29 @@ pub(crate) mod reference {
             });
             self.stats.peak_bindings = self.stats.peak_bindings.max(self.bindings.len());
             self.record_occupancy(now);
-            if self.trace.is_some() {
+            self.trace_push(
+                now,
+                proto,
+                internal,
+                remote,
+                external_port,
+                BindingLifecycle::Created { port_preserved: external_port == internal.1 },
+            );
+            let reused = self.expired.iter().any(|b| {
+                b.proto == proto
+                    && b.internal == internal
+                    && b.remote == remote
+                    && b.external_port == external_port
+            });
+            if reused {
                 self.trace_push(
                     now,
                     proto,
                     internal,
                     remote,
                     external_port,
-                    BindingLifecycle::Created { port_preserved: external_port == internal.1 },
+                    BindingLifecycle::PortPreservedReuse,
                 );
-                let reused = self.expired.iter().any(|b| {
-                    b.proto == proto
-                        && b.internal == internal
-                        && b.remote == remote
-                        && b.external_port == external_port
-                });
-                if reused {
-                    self.trace_push(
-                        now,
-                        proto,
-                        internal,
-                        remote,
-                        external_port,
-                        BindingLifecycle::PortPreservedReuse,
-                    );
-                }
             }
             OutboundVerdict::Translated { external_port, created: true }
         }
@@ -1578,14 +1593,14 @@ mod tests {
                 nat.outbound(t(5), &p, NatProto::Udp, internal(), remote(), false, false),
             ];
             nat.sweep(t(100));
-            let out = (verdicts, nat.bindings().to_vec(), nat.stats());
+            let out = (verdicts, nat.bindings().to_vec(), nat.stats(), nat.lifecycle_counts());
             (out, nat.lifecycle_events().len())
         };
         let (off, off_events) = run(false);
         let (on, on_events) = run(true);
-        assert_eq!(off, on, "tracing must not change verdicts, table, or stats");
+        assert_eq!(off, on, "tracing must not change verdicts, table, stats, or counts");
         assert_eq!(off_events, 0, "no events buffered when tracing is off");
-        assert!(on_events > 0);
+        assert_eq!(on_events as u64, on.3.total(), "counts cover every traced event");
     }
 
     #[test]
@@ -1711,6 +1726,7 @@ mod differential {
             oracle.lifecycle_events(),
             "lifecycle event stream diverged: {ctx}"
         );
+        assert_eq!(new.lifecycle_counts(), oracle.lifecycle_counts(), "counts diverged: {ctx}");
     }
 
     fn drive(policy: &GatewayPolicy, seed: u64) {
@@ -1769,6 +1785,13 @@ mod differential {
         // mutations the counters did (every create/expire/refresh/refusal
         // has its event).
         let events = new.lifecycle_events();
+        let mut tally = LifecycleCounts::ZERO;
+        events.iter().for_each(|e| tally.add(e.lifecycle));
+        assert_eq!(
+            tally,
+            new.lifecycle_counts(),
+            "always-on counts match the stream (seed {seed})"
+        );
         let count = |k: BindingLifecycle| events.iter().filter(|e| e.lifecycle == k).count() as u64;
         let s = oracle.stats();
         assert_eq!(count(BindingLifecycle::Expired), s.bindings_expired, "seed {seed}");

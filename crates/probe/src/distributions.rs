@@ -35,7 +35,7 @@ pub struct FleetDistributions {
     pub frames_delivered: u64,
     /// Frames dropped, by reason, summed across devices.
     pub frames_dropped: DropCounts,
-    /// Observer trace events, summed across devices.
+    /// Trace events emitted during the probes, summed across devices.
     pub trace_events: u64,
     /// NAT bindings created, summed across devices.
     pub nat_bindings_created: u64,
@@ -64,7 +64,7 @@ impl FleetDistributions {
     }
 
     /// Folds one completed device in: its profile (binding cap), its
-    /// measured UDP-1 timeout in seconds, and — when instrumented — its
+    /// measured UDP-1 timeout in seconds, and — when given — its
     /// deterministic metrics counters and per-device delay percentiles.
     pub fn record(
         &mut self,

@@ -6,10 +6,12 @@
 //! are embarrassingly parallel with identical observable semantics.
 //!
 //! [`FleetRunner`] is the single entry point for campaigns: a builder that
-//! picks the [`Parallelism`] mode, optionally attaches per-device
-//! observability instrumentation, isolates per-device panics as typed
-//! [`DeviceFailure`]s, and always assembles results in Table 1 order, no
-//! matter which worker finished first:
+//! picks the [`Parallelism`] mode, harvests per-device
+//! [`DeviceRunMetrics`] from always-on counters, isolates per-device panics
+//! as typed [`DeviceFailure`]s, and always assembles results in Table 1
+//! order, no matter which worker finished first. Its one observation
+//! switch, [`FleetRunner::telemetry`], adds delay histograms, span
+//! timelines and the flight recorder:
 //!
 //! ```
 //! use hgw_probe::fleet::{FleetRunner, Parallelism};
@@ -63,11 +65,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hgw_core::telemetry::{flight_dump_dir, telemetry_enabled_from_env, Histogram};
-use hgw_core::{
-    CountingObserver, DropCounts, FramePool, HistogramSummary, LifecycleCounts, SpanTimeline,
-    TelemetryConfig,
-};
+use hgw_core::telemetry::{flight_dump_dir, Histogram};
+use hgw_core::{DropCounts, FramePool, HistogramSummary, LifecycleCounts, SpanTimeline};
 use hgw_devices::DeviceProfile;
 use hgw_gateway::Gateway;
 use hgw_testbed::Testbed;
@@ -153,9 +152,10 @@ pub struct DeviceRunMetrics {
     pub frames_delivered: u64,
     /// Frames dropped anywhere in the stack, by reason.
     pub frames_dropped: DropCounts,
-    /// Trace events seen by the attached observer. The observer attaches
-    /// after testbed bring-up, so this covers the probe workload only,
-    /// while the frame counters above span the testbed's whole lifetime.
+    /// Trace events the simulator emitted during the probe
+    /// ([`SimStats::trace_events`](hgw_core::SimStats::trace_events)
+    /// counted from the end of testbed bring-up), while the frame counters
+    /// above span the testbed's whole lifetime.
     pub trace_events: u64,
     /// NAT bindings created over the run.
     pub nat_bindings_created: u64,
@@ -163,9 +163,9 @@ pub struct DeviceRunMetrics {
     pub nat_bindings_expired: u64,
     /// High-water mark of simultaneously live NAT bindings.
     pub nat_bindings_peak: usize,
-    /// Binding-lifecycle events by kind, as seen by the attached observer.
-    /// All zero unless the run had [`FleetRunner::lifecycle`] on (lifecycle
-    /// tracing is enabled after bring-up, alongside the observer).
+    /// Binding-lifecycle events by kind during the probe, counted by the
+    /// gateway's NAT table from the end of testbed bring-up. Always on and
+    /// independent of lifecycle tracing.
     pub nat_lifecycle: LifecycleCounts,
     /// Distribution of live-binding occupancy samples over the run (the
     /// NAT table logs a sample at every occupancy change). Deterministic
@@ -289,24 +289,10 @@ impl std::error::Error for MissingDeviceError {}
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetError {
     /// A device probe panicked and the caller asked for plain results
-    /// (via [`FleetReport::into_results`] or a deprecated shim) instead of
-    /// inspecting per-device outcomes.
+    /// (via [`FleetReport::into_results`] or
+    /// [`FleetReport::into_results_with_metrics`]) instead of inspecting
+    /// per-device outcomes.
     Device(DeviceFailure),
-    /// The instrumented path found no observer to detach after the probe —
-    /// the probe must have detached it itself.
-    ObserverMissing {
-        /// Device whose observer disappeared.
-        tag: String,
-    },
-    /// The detached observer was not the [`CountingObserver`] the runner
-    /// attached — the probe must have swapped it.
-    ObserverMismatch {
-        /// Device whose observer was replaced.
-        tag: String,
-    },
-    /// [`FleetReport::into_instrumented_results`] was called on a run that
-    /// was not configured with [`FleetRunner::instrumented`].
-    NotInstrumented,
     /// A result ordering referenced a device with no result.
     MissingDevice(MissingDeviceError),
 }
@@ -315,15 +301,6 @@ impl core::fmt::Display for FleetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             FleetError::Device(failure) => write!(f, "{failure}"),
-            FleetError::ObserverMissing { tag } => {
-                write!(f, "device {tag}: probe detached the fleet observer")
-            }
-            FleetError::ObserverMismatch { tag } => {
-                write!(f, "device {tag}: probe replaced the fleet observer")
-            }
-            FleetError::NotInstrumented => {
-                write!(f, "run was not instrumented; no metrics to return")
-            }
             FleetError::MissingDevice(e) => write!(f, "{e}"),
         }
     }
@@ -334,7 +311,6 @@ impl std::error::Error for FleetError {
         match self {
             FleetError::Device(failure) => Some(failure),
             FleetError::MissingDevice(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -363,8 +339,7 @@ pub struct DeviceReport<R> {
     pub worker: usize,
     /// The probe's result, or the isolated panic that replaced it.
     pub outcome: Result<R, DeviceFailure>,
-    /// Observability metrics (`Some` iff the run was instrumented and the
-    /// probe completed).
+    /// Observability metrics (`Some` iff the probe completed).
     pub metrics: Option<DeviceRunMetrics>,
     /// Experiment span timeline over simulated time (`Some` iff the run had
     /// [`FleetRunner::telemetry`] on and the probe completed). Render with
@@ -385,8 +360,8 @@ pub struct FleetSample<'d, R> {
     pub device: &'d DeviceProfile,
     /// The probe's result.
     pub result: R,
-    /// Observability metrics (`Some` iff the run was instrumented).
-    pub metrics: Option<DeviceRunMetrics>,
+    /// Observability metrics.
+    pub metrics: DeviceRunMetrics,
 }
 
 /// The outcome of a [`FleetRunner::run_fold`] campaign.
@@ -464,16 +439,15 @@ impl<R> FleetReport<R> {
     }
 
     /// Collapses the report into `(tag, result, metrics)` triples in
-    /// Table 1 order; fails on the first [`DeviceFailure`] or if the run
-    /// was not instrumented.
-    pub fn into_instrumented_results(
+    /// Table 1 order, failing on the first [`DeviceFailure`].
+    pub fn into_results_with_metrics(
         self,
     ) -> Result<Vec<(String, R, DeviceRunMetrics)>, FleetError> {
         self.devices
             .into_iter()
             .map(|d| {
                 let result = d.outcome?;
-                let metrics = d.metrics.ok_or(FleetError::NotInstrumented)?;
+                let metrics = d.metrics.expect("a completed device always carries metrics");
                 Ok((d.tag, result, metrics))
             })
             .collect()
@@ -490,17 +464,13 @@ pub struct FleetRunner<'d> {
     parallelism: Parallelism,
     batch_size: Option<usize>,
     hosts: usize,
-    instrumented: bool,
     telemetry: bool,
-    lifecycle: bool,
     dump_dir: Option<&'d Path>,
 }
 
 impl<'d> FleetRunner<'d> {
     /// A runner over `devices` with seed 0, [`Parallelism::Auto`],
-    /// auto-sized batches, and no instrumentation. Telemetry defaults to
-    /// the `HGW_TELEMETRY` environment knob so figure binaries pick it up
-    /// without code changes.
+    /// auto-sized batches, and telemetry off.
     pub fn new(devices: &'d [DeviceProfile]) -> FleetRunner<'d> {
         FleetRunner {
             devices,
@@ -508,9 +478,7 @@ impl<'d> FleetRunner<'d> {
             parallelism: Parallelism::Auto,
             batch_size: None,
             hosts: 1,
-            instrumented: false,
-            telemetry: telemetry_enabled_from_env(),
-            lifecycle: false,
+            telemetry: false,
             dump_dir: None,
         }
     }
@@ -558,34 +526,14 @@ impl<'d> FleetRunner<'d> {
         self
     }
 
-    /// Attaches a [`CountingObserver`] to every device's simulator and
-    /// captures [`DeviceRunMetrics`]. Observation is a pure sink, so probe
-    /// results are unchanged.
-    pub fn instrumented(mut self, on: bool) -> FleetRunner<'d> {
-        self.instrumented = on;
-        self
-    }
-
-    /// Enables per-device [`Telemetry`](hgw_core::Telemetry): latency
-    /// histograms (folded into [`DeviceRunMetrics`] when the run is also
-    /// instrumented), the span timeline in each [`DeviceReport`], and the
-    /// flight recorder dumped when a probe panics. Telemetry is a pure sink
-    /// — probe results and deterministic counters are unchanged.
+    /// The campaign's one observation switch. Enables per-device
+    /// [`Telemetry`](hgw_core::Telemetry): the delay histograms folded into
+    /// [`DeviceRunMetrics`], the span timeline in each [`DeviceReport`], and
+    /// the flight recorder dumped when a probe panics. Telemetry is a pure
+    /// sink — probe results and deterministic counters are unchanged. The
+    /// counters in [`DeviceRunMetrics`] are always on and need no switch.
     pub fn telemetry(mut self, on: bool) -> FleetRunner<'d> {
         self.telemetry = on;
-        self
-    }
-
-    /// Enables NAT binding-lifecycle tracing on every device's gateway
-    /// (after bring-up, alongside the observer). Traced events flow
-    /// through the simulator's trace stream into the attached
-    /// [`CountingObserver`] and, under [`FleetRunner::telemetry`], the
-    /// lifecycle ring and flight recorder. Tracing is a pure sink: probe
-    /// results and every deterministic counter except
-    /// [`DeviceRunMetrics::nat_lifecycle`] (and the observer's raw
-    /// `trace_events` total) are unchanged.
-    pub fn lifecycle(mut self, on: bool) -> FleetRunner<'d> {
-        self.lifecycle = on;
         self
     }
 
@@ -600,8 +548,9 @@ impl<'d> FleetRunner<'d> {
     /// in Table 1 order.
     ///
     /// A panicking probe is isolated to its device and surfaced as a
-    /// [`DeviceFailure`] in that device's [`DeviceReport`]; the campaign
-    /// itself only fails on infrastructure errors ([`FleetError`]).
+    /// [`DeviceFailure`] in that device's [`DeviceReport`]. The campaign
+    /// itself never fails; the `Result` stays so existing callers keep
+    /// compiling.
     pub fn run<R: Send>(
         &self,
         probe: impl Fn(&mut Testbed, &DeviceProfile) -> R + Sync,
@@ -609,11 +558,15 @@ impl<'d> FleetRunner<'d> {
         let (reports, scheduling) = self.execute(
             probe,
             Vec::new,
-            |reports: &mut Vec<DeviceReport<R>>, slot, worker, (outcome, metrics, spans)| {
+            |reports: &mut Vec<DeviceReport<R>>, slot, worker, out| {
                 let tag = self.devices[slot].tag.to_string();
+                let (outcome, metrics, spans) = match out {
+                    Ok((result, metrics, spans)) => (Ok(result), Some(metrics), spans),
+                    Err(failure) => (Err(failure), None, None),
+                };
                 reports.push(DeviceReport { tag, slot, worker, outcome, metrics, spans });
             },
-        )?;
+        );
         let mut devices: Vec<_> = reports.into_iter().flatten().collect();
         devices.sort_unstable_by_key(|d| d.slot);
         Ok(FleetReport { devices, scheduling })
@@ -654,16 +607,14 @@ impl<'d> FleetRunner<'d> {
         let (states, scheduling) = self.execute(
             probe,
             || (init(), Vec::new()),
-            |(acc, failures): &mut (A, Vec<DeviceFailure>), slot, worker, (outcome, metrics, _)| {
-                match outcome {
-                    Ok(result) => {
-                        let device = &self.devices[slot];
-                        fold(acc, FleetSample { slot, worker, device, result, metrics });
-                    }
-                    Err(f) => failures.push(f),
+            |(acc, failures): &mut (A, Vec<DeviceFailure>), slot, worker, out| match out {
+                Ok((result, metrics, _)) => {
+                    let device = &self.devices[slot];
+                    fold(acc, FleetSample { slot, worker, device, result, metrics });
                 }
+                Err(f) => failures.push(f),
             },
-        )?;
+        );
         let mut aggregate = None;
         let mut failures = Vec::new();
         for (acc, mut f) in states {
@@ -692,19 +643,18 @@ impl<'d> FleetRunner<'d> {
     /// the worker's first device. The calling thread is worker 0; only
     /// workers 1.. are spawned, so a single worker runs without spawning.
     /// Returns the states of the workers that ran a device, in
-    /// worker-index order. A worker stops at its first infrastructure
-    /// error; the first error in worker-index order fails the campaign.
+    /// worker-index order.
     fn execute<R, W: Send>(
         &self,
         probe: impl Fn(&mut Testbed, &DeviceProfile) -> R + Sync,
         init: impl Fn() -> W + Sync,
         sink: impl Fn(&mut W, usize, usize, DeviceOutcome<R>) + Sync,
-    ) -> Result<(Vec<W>, SchedulingReport), FleetError> {
+    ) -> (Vec<W>, SchedulingReport) {
         let start = std::time::Instant::now();
         let workers = self.parallelism.worker_count(self.devices.len());
         let batch = self.resolve_batch(workers);
         let next = AtomicUsize::new(0);
-        let work = |worker: usize| -> Result<(Option<W>, WorkerStats), FleetError> {
+        let work = |worker: usize| -> (Option<W>, WorkerStats) {
             let mut arena = FramePool::new();
             let mut state = None;
             let mut ws =
@@ -712,7 +662,7 @@ impl<'d> FleetRunner<'d> {
             loop {
                 let lo = next.fetch_add(batch, Ordering::Relaxed);
                 if lo >= self.devices.len() {
-                    return Ok((state, ws));
+                    return (state, ws);
                 }
                 let hi = (lo + batch).min(self.devices.len());
                 ws.batches += 1;
@@ -720,7 +670,7 @@ impl<'d> FleetRunner<'d> {
                 for slot in lo..hi {
                     let state = state.get_or_insert_with(&init);
                     ws.pool_reused += (arena.retained() > 0) as u64;
-                    let out = self.run_device(&self.devices[slot], slot, &probe, &mut arena)?;
+                    let out = self.run_device(&self.devices[slot], slot, &probe, &mut arena);
                     sink(state, slot, worker, out);
                     ws.devices_run += 1;
                 }
@@ -737,8 +687,7 @@ impl<'d> FleetRunner<'d> {
         });
         let mut states = Vec::with_capacity(workers);
         let mut per_worker = Vec::with_capacity(workers);
-        for out in outs {
-            let (state, ws) = out?;
+        for (state, ws) in outs {
             states.extend(state);
             per_worker.push(ws);
         }
@@ -754,11 +703,11 @@ impl<'d> FleetRunner<'d> {
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
             per_worker,
         };
-        Ok((states, scheduling))
+        (states, scheduling)
     }
 
     /// Builds one device's testbed, runs the probe with panic isolation,
-    /// and harvests the observability counters and telemetry.
+    /// and harvests the counters and telemetry.
     ///
     /// Bring-up and probe run under separate `catch_unwind`s: a probe panic
     /// leaves the testbed alive, so its flight recorder can be dumped
@@ -769,7 +718,7 @@ impl<'d> FleetRunner<'d> {
         slot: usize,
         probe: &dyn Fn(&mut Testbed, &DeviceProfile) -> R,
         arena: &mut FramePool,
-    ) -> Result<DeviceOutcome<R>, FleetError> {
+    ) -> DeviceOutcome<R> {
         let failure = |payload| DeviceFailure {
             tag: device.tag.to_string(),
             slot,
@@ -782,66 +731,42 @@ impl<'d> FleetRunner<'d> {
                 .hosts(self.hosts)
                 .build();
             if self.telemetry {
-                tb.sim.enable_telemetry(TelemetryConfig::from_env());
-            }
-            if self.instrumented {
-                tb.sim.attach_observer(Box::new(CountingObserver::new()));
-            }
-            if self.lifecycle {
-                tb.topo.enable_lifecycle_tracing();
+                tb.sim.enable_telemetry();
             }
             tb
         }));
         let mut tb = match brought_up {
             Ok(tb) => tb,
             // A bring-up panic means no testbed exists — nothing to dump.
-            Err(payload) => return Ok((Err(failure(payload)), None, None)),
+            Err(payload) => return Err(failure(payload)),
         };
+        // The probe's own counters start here, after bring-up.
+        let baseline = ProbeCounters::read(&tb);
         // Warm the fresh simulator with the worker's recycled buffers.
         // Capacity-only state: never affects results (see the module docs).
         tb.sim.seed_frame_pool(arena);
         let out = match catch_unwind(AssertUnwindSafe(|| probe(&mut tb, device))) {
             Ok(result) => {
-                let (metrics, spans) =
-                    self.harvest(&mut tb, device.tag, start.elapsed().as_secs_f64() * 1e3)?;
-                (Ok(result), metrics, spans)
+                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                let mut metrics = harvest_metrics(&tb, &baseline, wall_ms);
+                let spans = tb.sim.take_telemetry().map(|mut t| {
+                    let d = t.delay_summaries();
+                    metrics.delay_one_way = Some(d.one_way);
+                    metrics.delay_queue_residency = Some(d.queue_residency);
+                    metrics.delay_nat_processing = Some(d.nat_processing);
+                    std::mem::take(&mut t.spans)
+                });
+                Ok((result, metrics, spans))
             }
             Err(payload) => {
                 let failure = failure(payload);
                 self.dump_flight_recorder(&mut tb, &failure);
-                (Err(failure), None, None)
+                Err(failure)
             }
         };
         // Reclaim the warm working set for the worker's next device.
         tb.sim.drain_frame_pool(arena);
-        Ok(out)
-    }
-
-    /// Detaches telemetry and (when instrumented) the counting observer
-    /// from a completed device run.
-    fn harvest(
-        &self,
-        tb: &mut Testbed,
-        tag: &str,
-        wall_ms: f64,
-    ) -> Result<(Option<DeviceRunMetrics>, Option<SpanTimeline>), FleetError> {
-        let telemetry = tb.sim.take_telemetry();
-        let (delays, spans) = match telemetry {
-            Some(mut t) => (Some(t.delay_summaries()), Some(std::mem::take(&mut t.spans))),
-            None => (None, None),
-        };
-        let metrics = if self.instrumented {
-            let mut m = harvest_metrics(tb, tag, wall_ms)?;
-            if let Some(d) = &delays {
-                m.delay_one_way = Some(d.one_way);
-                m.delay_queue_residency = Some(d.queue_residency);
-                m.delay_nat_processing = Some(d.nat_processing);
-            }
-            Some(m)
-        } else {
-            None
-        };
-        Ok((metrics, spans))
+        out
     }
 
     /// Best-effort crash-scene dump for a panicked probe: writes the
@@ -871,44 +796,48 @@ impl<'d> FleetRunner<'d> {
 }
 
 /// What [`FleetRunner::run_device`] produces for one device: the probe's
-/// outcome, the instrumented metrics, and the telemetry span timeline.
-type DeviceOutcome<R> = (Result<R, DeviceFailure>, Option<DeviceRunMetrics>, Option<SpanTimeline>);
+/// result with its metrics and telemetry span timeline, or the failure.
+type DeviceOutcome<R> = Result<(R, DeviceRunMetrics, Option<SpanTimeline>), DeviceFailure>;
 
-fn harvest_metrics(
-    tb: &mut Testbed,
-    tag: &str,
-    wall_ms: f64,
-) -> Result<DeviceRunMetrics, FleetError> {
+/// The always-on counters that [`DeviceRunMetrics`] reports as deltas over
+/// the probe.
+struct ProbeCounters {
+    trace_events: u64,
+    nat_lifecycle: LifecycleCounts,
+}
+
+impl ProbeCounters {
+    fn read(tb: &Testbed) -> ProbeCounters {
+        ProbeCounters {
+            trace_events: tb.sim.stats().trace_events,
+            nat_lifecycle: tb.sim.node_ref::<Gateway>(tb.gateway).nat_table().lifecycle_counts(),
+        }
+    }
+}
+
+fn harvest_metrics(tb: &Testbed, baseline: &ProbeCounters, wall_ms: f64) -> DeviceRunMetrics {
     let stats = tb.sim.stats();
-    let observer = tb
-        .sim
-        .detach_observer()
-        .ok_or_else(|| FleetError::ObserverMissing { tag: tag.to_string() })?;
-    let counts = observer
-        .as_any()
-        .downcast_ref::<CountingObserver>()
-        .ok_or_else(|| FleetError::ObserverMismatch { tag: tag.to_string() })?;
     let gateway = tb.sim.node_ref::<Gateway>(tb.gateway);
     let nat = gateway.nat_stats();
     let mut nat_occupancy = Histogram::new();
     for &(_, live) in gateway.nat_table().occupancy_log() {
         nat_occupancy.record(live as u64);
     }
-    Ok(DeviceRunMetrics {
+    DeviceRunMetrics {
         wall_ms,
         events: stats.events,
         events_per_sec: if wall_ms > 0.0 { stats.events as f64 / (wall_ms / 1e3) } else { 0.0 },
         frames_delivered: stats.frames_delivered,
         frames_dropped: stats.frames_dropped,
-        trace_events: counts.events,
+        trace_events: stats.trace_events - baseline.trace_events,
         nat_bindings_created: nat.bindings_created,
         nat_bindings_expired: nat.bindings_expired,
         nat_bindings_peak: nat.peak_bindings,
-        nat_lifecycle: counts.lifecycle,
+        nat_lifecycle: gateway.nat_table().lifecycle_counts().since(&baseline.nat_lifecycle),
         nat_occupancy,
         nat_first_refusal_secs: nat.first_refusal_at.map(|t| t.as_secs_f64()),
         ..DeviceRunMetrics::default()
-    })
+    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -991,18 +920,17 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_fleet_reports_metrics() {
+    fn fleet_reports_metrics_without_a_switch() {
         let devices = all_devices();
         let results = FleetRunner::new(&devices[..2])
             .seed(7)
             .parallelism(Parallelism::Sequential)
-            .instrumented(true)
             .run(|tb, _| {
                 tb.run_for(hgw_core::Duration::from_secs(1));
                 tb.sim.stats().events
             })
             .unwrap()
-            .into_instrumented_results()
+            .into_results_with_metrics()
             .unwrap();
         assert_eq!(results.len(), 2);
         for (tag, events, m) in &results {
@@ -1010,29 +938,15 @@ mod tests {
             assert_eq!(m.events, *events, "stats snapshot matches probe result");
             // Bring-up alone delivers DHCP traffic on both links.
             assert!(m.frames_delivered > 0, "{tag}: no frames delivered");
-            // The observer attaches after bring-up, so it sees at most the
-            // lifetime totals.
+            // Trace events count from the end of bring-up, so they are at
+            // most the lifetime totals.
             assert!(
                 m.trace_events
                     <= m.frames_delivered + m.frames_dropped.total() + m.nat_bindings_created
             );
             assert!(m.wall_ms >= 0.0);
+            assert!(m.delay_one_way.is_none(), "{tag}: delay histograms need telemetry");
         }
-    }
-
-    #[test]
-    fn instrumentation_does_not_change_results() {
-        let devices = all_devices();
-        let runner = FleetRunner::new(&devices[..3]).seed(42).parallelism(Parallelism::Sequential);
-        let probe = |tb: &mut Testbed, _: &DeviceProfile| {
-            tb.run_for(hgw_core::Duration::from_secs(2));
-            (tb.sim.stats().events, tb.sim.now())
-        };
-        let plain = runner.run(probe).unwrap().into_results().unwrap();
-        let instrumented =
-            runner.instrumented(true).run(probe).unwrap().into_instrumented_results().unwrap();
-        let stripped: Vec<_> = instrumented.into_iter().map(|(tag, r, _)| (tag, r)).collect();
-        assert_eq!(plain, stripped);
     }
 
     /// A probe that pushes real traffic through the NAT so the telemetry
@@ -1048,14 +962,13 @@ mod tests {
         let report = FleetRunner::new(&devices[..2])
             .seed(7)
             .parallelism(Parallelism::Sequential)
-            .instrumented(true)
             .telemetry(true)
             .run(dns_probe)
             .unwrap();
         for d in &report.devices {
             assert!(d.outcome.is_ok());
             assert!(d.spans.is_some(), "{}: telemetry runs carry a span timeline", d.tag);
-            let m = d.metrics.as_ref().expect("instrumented");
+            let m = d.metrics.as_ref().expect("completed devices carry metrics");
             let one_way = m.delay_one_way.expect("telemetry populates one-way delay");
             assert!(one_way.count > 0, "{}: no delay samples", d.tag);
             assert!(one_way.p50 <= one_way.p90 && one_way.p90 <= one_way.p99, "{}", d.tag);
@@ -1072,11 +985,10 @@ mod tests {
         let runner = FleetRunner::new(&devices[..2])
             .seed(42)
             .parallelism(Parallelism::Sequential)
-            .instrumented(true)
             .telemetry(false);
-        let plain = runner.run(dns_probe).unwrap().into_instrumented_results().unwrap();
+        let plain = runner.run(dns_probe).unwrap().into_results_with_metrics().unwrap();
         let with_t =
-            runner.telemetry(true).run(dns_probe).unwrap().into_instrumented_results().unwrap();
+            runner.telemetry(true).run(dns_probe).unwrap().into_results_with_metrics().unwrap();
         let strip =
             |v: Vec<(String, u64, DeviceRunMetrics)>| -> Vec<(String, u64, DeviceRunMetrics)> {
                 v.into_iter()
@@ -1092,72 +1004,89 @@ mod tests {
         assert_eq!(strip(plain), strip(with_t), "telemetry must be a pure sink");
     }
 
-    /// A probe that drives NATed flows (the DNS probe terminates at the
-    /// gateway's proxy, so it never touches the binding table).
-    fn nat_probe(tb: &mut Testbed, _: &DeviceProfile) -> u64 {
-        let cfg = crate::household::WorkloadConfig {
+    fn nat_cfg() -> crate::household::WorkloadConfig {
+        crate::household::WorkloadConfig {
             flows_per_host: 2,
             duration: hgw_core::Duration::from_secs(10),
             ..Default::default()
-        };
-        let r = crate::household::measure_household(tb, &cfg);
-        r.nat.bindings_created
+        }
+    }
+
+    /// A probe that drives NATed flows (the DNS probe terminates at the
+    /// gateway's proxy, so it never touches the binding table).
+    fn nat_probe(tb: &mut Testbed, _: &DeviceProfile) -> u64 {
+        crate::household::measure_household(tb, &nat_cfg()).nat.bindings_created
     }
 
     #[test]
-    fn lifecycle_fleet_traces_bindings_and_stays_pure() {
+    fn traced_probe_coexists_with_fleet_metrics() {
+        use crate::household::{measure_household, measure_household_traced};
+        let devices = all_devices();
+        let runner = FleetRunner::new(&devices[..2]).seed(42).parallelism(Parallelism::Sequential);
+        let plain = runner
+            .run(|tb, _| measure_household(tb, &nat_cfg()))
+            .unwrap()
+            .into_results_with_metrics()
+            .unwrap();
+        // The traced probe holds the simulator's observer slot for its
+        // whole run; the fleet's counters do not need it.
+        let traced = runner
+            .run(|tb, _| measure_household_traced(tb, &nat_cfg()))
+            .unwrap()
+            .into_results_with_metrics()
+            .unwrap();
+        for ((t0, r0, m0), (t1, (r1, flows), m1)) in plain.iter().zip(&traced) {
+            assert_eq!((t0, r0), (t1, r1), "lifecycle tracing must not change probe results");
+            assert!(m1.nat_lifecycle.total() > 0, "{t1}: no lifecycle events counted");
+            // The always-on counters equal the per-kind tally of the
+            // probe's own traced stream.
+            let mut tally = LifecycleCounts::ZERO;
+            flows.iter().flat_map(|f| &f.events).for_each(|&(_, lc)| tally.add(lc));
+            assert_eq!(m1.nat_lifecycle, tally, "{t1}: counters disagree with the trace");
+            // Tracing adds exactly its binding events to the emitted total
+            // and changes no other deterministic counter.
+            assert_eq!(m1.trace_events, m0.trace_events + tally.total(), "{t1}");
+            let strip =
+                |m: &DeviceRunMetrics| DeviceRunMetrics { trace_events: 0, ..m.deterministic() };
+            assert_eq!(strip(m0), strip(m1), "{t0}: tracing must be a pure sink");
+        }
+    }
+
+    #[test]
+    fn lifecycle_counts_are_always_on() {
         use hgw_core::BindingLifecycle;
         let devices = all_devices();
-        let runner = FleetRunner::new(&devices[..2])
+        let results = FleetRunner::new(&devices[..2])
             .seed(42)
             .parallelism(Parallelism::Sequential)
-            .instrumented(true)
-            .telemetry(false);
-        let plain = runner.run(nat_probe).unwrap().into_instrumented_results().unwrap();
-        let traced =
-            runner.lifecycle(true).run(nat_probe).unwrap().into_instrumented_results().unwrap();
-        for ((t0, r0, m0), (t1, r1, m1)) in plain.iter().zip(&traced) {
-            assert_eq!((t0, r0), (t1, r1), "lifecycle tracing must not change probe results");
-            assert_eq!(m0.nat_lifecycle.total(), 0, "{t0}: events leaked without tracing");
-            assert!(m1.nat_lifecycle.total() > 0, "{t1}: no lifecycle events with tracing on");
-            // The DNS probe creates bindings after the observer attaches,
-            // so the observer's created count matches the NAT's own total.
-            assert_eq!(
-                m1.nat_lifecycle.by(BindingLifecycle::Created { port_preserved: false }),
-                m1.nat_bindings_created,
-                "{t1}"
-            );
-            // Everything deterministic except the lifecycle counters (and
-            // the raw trace-event total they ride in on) is bit-identical.
-            let strip = |m: &DeviceRunMetrics| {
-                let mut m = m.deterministic();
-                m.trace_events = 0;
-                m.nat_lifecycle = LifecycleCounts::ZERO;
-                m
-            };
-            assert_eq!(strip(m0), strip(m1), "{t0}: tracing must be a pure sink");
+            .run(nat_probe)
+            .unwrap()
+            .into_results_with_metrics()
+            .unwrap();
+        for (tag, created, m) in &results {
+            // Bring-up creates no bindings, so the probe's created count
+            // is the NAT's lifetime total.
+            let counted = m.nat_lifecycle.by(BindingLifecycle::Created { port_preserved: false });
+            assert_eq!(counted, *created, "{tag}");
+            assert_eq!(counted, m.nat_bindings_created, "{tag}");
         }
     }
 
     #[test]
     fn lifecycle_fleet_summary_folds_and_merges() {
         let devices = all_devices();
-        let runner = FleetRunner::new(&devices[..4])
-            .seed(7)
-            .parallelism(Parallelism::Sequential)
-            .instrumented(true)
-            .lifecycle(true);
-        let folded = runner
-            .run_fold(
-                nat_probe,
-                LifecycleFleetSummary::default,
-                |acc, sample| {
-                    let m = sample.metrics.as_ref().expect("instrumented");
-                    acc.record(m, 0.0);
-                },
-                |acc, other| acc.merge(&other),
-            )
-            .unwrap();
+        let runner = FleetRunner::new(&devices[..4]).seed(7).parallelism(Parallelism::Sequential);
+        let fold = |runner: FleetRunner<'_>| {
+            runner
+                .run_fold(
+                    nat_probe,
+                    LifecycleFleetSummary::default,
+                    |acc, sample| acc.record(&sample.metrics, 0.0),
+                    |acc, other| acc.merge(&other),
+                )
+                .unwrap()
+        };
+        let folded = fold(runner);
         assert!(folded.failures.is_empty());
         let seq = folded.aggregate;
         assert_eq!(seq.devices, 4);
@@ -1166,18 +1095,7 @@ mod tests {
         assert_eq!(seq.churn_per_min.count(), 4);
         // The same campaign under parallel workers folds to the same
         // aggregate: record/merge are commutative and associative.
-        let par = runner
-            .parallelism(Parallelism::Fixed(2))
-            .run_fold(
-                nat_probe,
-                LifecycleFleetSummary::default,
-                |acc, sample| {
-                    let m = sample.metrics.as_ref().expect("instrumented");
-                    acc.record(m, 0.0);
-                },
-                |acc, other| acc.merge(&other),
-            )
-            .unwrap();
+        let par = fold(runner.parallelism(Parallelism::Fixed(2)));
         assert_eq!(seq, par.aggregate, "fold aggregate must be schedule-independent");
     }
 
@@ -1253,49 +1171,16 @@ mod tests {
     }
 
     #[test]
-    fn uninstrumented_report_has_no_metrics() {
+    fn metrics_are_present_exactly_when_the_probe_completed() {
         let devices = all_devices();
-        let report = FleetRunner::new(&devices[..1]).run(|_, _| ()).unwrap();
-        assert!(report.devices[0].metrics.is_none());
-        assert_eq!(report.into_instrumented_results().unwrap_err(), FleetError::NotInstrumented);
-    }
-
-    #[test]
-    fn observer_tampering_is_a_typed_error() {
-        let devices = all_devices();
-        let err = FleetRunner::new(&devices[..1])
-            .instrumented(true)
-            .run(|tb, _| {
-                tb.sim.detach_observer();
-            })
-            .unwrap_err();
-        assert_eq!(err, FleetError::ObserverMissing { tag: devices[0].tag.to_string() });
-        assert!(err.to_string().contains("detached the fleet observer"));
-
-        let err = FleetRunner::new(&devices[..1])
-            .instrumented(true)
-            .run(|tb, _| {
-                tb.sim.detach_observer();
-                tb.sim.attach_observer(Box::new(hgw_core::EventLog::new()));
-            })
-            .unwrap_err();
-        assert_eq!(err, FleetError::ObserverMismatch { tag: devices[0].tag.to_string() });
-
-        // Tampering on one slot of a multi-worker fleet fails the campaign
-        // the same way through both entry points.
-        let runner = FleetRunner::new(&devices[..4])
-            .instrumented(true)
-            .parallelism(Parallelism::Fixed(2))
-            .batch_size(1);
-        let tamper = |tb: &mut Testbed, d: &DeviceProfile| {
-            if d.tag == devices[2].tag {
-                tb.sim.detach_observer();
-            }
-        };
-        let missing = FleetError::ObserverMissing { tag: devices[2].tag.to_string() };
-        assert_eq!(runner.run(tamper).unwrap_err(), missing);
-        let err = runner.run_fold(tamper, || (), |_, _| {}, |_, _| {}).unwrap_err();
-        assert_eq!(err, missing);
+        let report = FleetRunner::new(&devices[..2])
+            .parallelism(Parallelism::Sequential)
+            .run(|_, d| assert_ne!(d.tag, devices[1].tag, "induced failure"))
+            .unwrap();
+        assert!(report.devices[0].metrics.is_some());
+        assert!(report.devices[1].metrics.is_none());
+        let err = report.into_results_with_metrics().unwrap_err();
+        assert!(matches!(err, FleetError::Device(f) if f.slot == 1));
     }
 
     #[test]

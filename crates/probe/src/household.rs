@@ -643,10 +643,9 @@ pub fn flow_binding_histories(log: &EventLog) -> Vec<FlowBindingHistory> {
 /// histories.
 ///
 /// The report is bit-identical to an untraced run's (pinned by tests) —
-/// tracing is a pure sink. This helper occupies the simulator's single
-/// observer slot for the run, so don't call it inside an instrumented
-/// fleet campaign; use
-/// [`FleetRunner::lifecycle`](crate::fleet::FleetRunner::lifecycle) there.
+/// tracing is a pure sink. The helper holds the simulator's observer slot
+/// for the run; fleet metrics do not use that slot, so it works as a
+/// [`FleetRunner`](crate::fleet::FleetRunner) probe too.
 pub fn measure_household_traced(
     tb: &mut Testbed,
     cfg: &WorkloadConfig,

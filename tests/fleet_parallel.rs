@@ -65,7 +65,7 @@ fn family_probe(tb: &mut Testbed, d: &devices::DeviceProfile, slot: usize) -> St
 fn parallel_fleet_matches_sequential_bit_for_bit() {
     let devices = devices::all_devices();
     let parallel_mode = Parallelism::from_env_or(Parallelism::Fixed(4));
-    let runner = FleetRunner::new(&devices).seed(0xE0).instrumented(true);
+    let runner = FleetRunner::new(&devices).seed(0xE0);
 
     let sequential = runner
         .parallelism(Parallelism::Sequential)
@@ -80,8 +80,8 @@ fn parallel_fleet_matches_sequential_bit_for_bit() {
     let scheduled: usize = parallel.scheduling.per_worker.iter().map(|w| w.devices_run).sum();
     assert_eq!(scheduled, devices.len(), "every device attributed to exactly one worker");
 
-    let seq = sequential.into_instrumented_results().unwrap();
-    let par = parallel.into_instrumented_results().unwrap();
+    let seq = sequential.into_results_with_metrics().unwrap();
+    let par = parallel.into_results_with_metrics().unwrap();
     assert_eq!(seq.len(), 34);
     assert_eq!(par.len(), 34);
     for (slot, ((seq_tag, seq_r, seq_m), (par_tag, par_r, par_m))) in

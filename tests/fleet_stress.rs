@@ -29,7 +29,6 @@ fn panicking_probe_is_isolated_to_its_device() {
             FleetRunner::new(&devices)
                 .seed(3)
                 .parallelism(mode)
-                .instrumented(true)
                 .run(|tb, d| {
                     if d.tag == victim {
                         panic!("injected fault on {}", d.tag);
