@@ -391,6 +391,43 @@ fn bench_timer(results: &mut Vec<MicroResult>) {
     });
 }
 
+/// The event queue's shape under a bulk TCP transfer: an RTO at +200 ms
+/// and a DHCP lease at +1 h have pulled the wheel's cursor far ahead, so
+/// each of the ~10 near events outstanding (link completions, deliveries)
+/// is inserted behind the cursor. One iteration pops the minimum, offers
+/// the next entry to a delivery-train `pop_if` that refuses it, and
+/// inserts the next near event 1-50 µs out (a popped far timer re-arms
+/// instead).
+fn bench_near_inserts(results: &mut Vec<MicroResult>) {
+    const NEAR: u32 = 0;
+    const RTO: u64 = 200_000_000;
+    const LEASE: u64 = 3_600_000_000_000;
+    let mut wheel: hgw_core::TimerWheel<u32> = hgw_core::TimerWheel::new();
+    let mut seq = 0u64;
+    let mut insert = |wheel: &mut hgw_core::TimerWheel<u32>, at: u64, kind: u32| {
+        seq += 1;
+        wheel.insert(at, seq, kind);
+    };
+    insert(&mut wheel, RTO, 1);
+    insert(&mut wheel, LEASE, 2);
+    for i in 0..10 {
+        insert(&mut wheel, 1_000 + i * 5_000, NEAR);
+    }
+    let mut gap = 1u64;
+    bench(results, "timer", "near_inserts_behind_far_timer", None, || {
+        let (now, _, kind) = wheel.pop().expect("ten near events stay queued");
+        if kind != NEAR {
+            insert(&mut wheel, now + if kind == 1 { RTO } else { LEASE }, kind);
+            return now;
+        }
+        let refused = wheel.pop_if(|at, _, &k| at == now && k != NEAR);
+        debug_assert!(refused.is_none());
+        gap = gap.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        insert(&mut wheel, now + 1_000 + gap % 49_000, NEAR);
+        now
+    });
+}
+
 fn bench_simulation(results: &mut Vec<MicroResult>) {
     const MB: u64 = 1024 * 1024;
     // Headline: static enum dispatch, the engine shape every topology runs
@@ -490,6 +527,7 @@ fn main() {
     bench_wire(&mut results);
     bench_nat_table(&mut results);
     bench_timer(&mut results);
+    bench_near_inserts(&mut results);
     bench_simulation(&mut results);
     bench_telemetry(&mut results);
     if let Ok(path) = std::env::var("HGW_BENCH_JSON") {

@@ -93,11 +93,12 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// Takes a cleared frame buffer with at least `capacity` bytes of room
-    /// from the simulator's [`FramePool`]. Prefer this over a fresh `Vec`
-    /// when building frames to send: retired delivery buffers get recycled
-    /// instead of churning the allocator.
+    /// from the simulator's [`FramePool`]; ask for the frame's full size,
+    /// since the pool picks the buffer's size class by it. Prefer this over
+    /// a fresh `Vec` when building frames to send: retired delivery buffers
+    /// get recycled instead of churning the allocator.
     pub fn alloc_frame(&mut self, capacity: usize) -> Vec<u8> {
-        self.pool.get_with_capacity(capacity)
+        self.pool.get(capacity)
     }
 
     /// Returns a no-longer-needed buffer to the simulator's [`FramePool`].

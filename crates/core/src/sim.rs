@@ -453,7 +453,7 @@ impl<K: SimNode> SimCore<K> {
         if duplicate {
             link.dirs[dir.index()].stats.duplicated += 1;
             // Build the duplicate in a pooled buffer instead of a fresh clone.
-            let mut dup = self.pool.get_with_capacity(frame.len());
+            let mut dup = self.pool.get(frame.len());
             dup.extend_from_slice(&frame);
             self.enqueue_on_link(node, link_id, dir, dup);
         }
@@ -609,7 +609,7 @@ impl<K: SimNode> SimCore<K> {
             // Trace captures copy into pooled buffers so enabling a
             // trace does not reintroduce per-frame allocations.
             let traced = if self.links[link.0].trace[dir.index()].is_some() {
-                let mut copy = self.pool.get_with_capacity(frame.len());
+                let mut copy = self.pool.get(frame.len());
                 copy.extend_from_slice(&frame);
                 Some(copy)
             } else {

@@ -10,9 +10,12 @@
 //! highest bit in which its deadline differs from the wheel's cursor, so
 //! near deadlines sit in fine slots and hour-scale NAT timeouts (the UDP-1
 //! binary search's 2-hour horizon) sit in coarse ones; as the cursor
-//! advances, coarse slots cascade down into finer ones. Insert is `O(1)`;
-//! pop is amortized `O(1)` with a worst case bounded by the cascade depth
-//! (11 levels).
+//! advances, coarse slots cascade down into finer ones. Filing into a slot
+//! is `O(1)`; pop is amortized `O(1)` with a worst case bounded by the
+//! cascade depth (11 levels). An entry that lands at or behind the cursor
+//! instead joins the sorted `due` run, at a cost linear in the number of
+//! run entries between it and the run's near end; nothing bounds the run's
+//! length (`SORTED_CAP` bounds only the fast path onto it).
 //!
 //! Determinism contract (see DESIGN.md §11): entries pop in strictly
 //! ascending `(at, seq)` order — exactly the order the `BinaryHeap`
@@ -26,10 +29,8 @@
 //! caller's monotonically increasing `seq`; a cascade deposits a coarse
 //! slot's entries — themselves in `seq` order — into fine slots that are
 //! necessarily empty, because a slot cascades only when every finer level
-//! is empty). The `due` buffer keeps full `(at, seq)` order for the rare
-//! entries that arrive at or behind the cursor.
-
-use std::collections::VecDeque;
+//! is empty). The `due` run keeps full `(at, seq)` order for the entries
+//! that arrive at or behind the cursor.
 
 /// Bits of the deadline consumed per level.
 const LEVEL_BITS: u32 = 6;
@@ -37,11 +38,13 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 64;
 /// Levels needed to cover all 64 bits (`ceil(64 / 6)`).
 const LEVELS: usize = 11;
-/// While an insert's deadline differs from the cursor only below every
-/// occupied level (see [`TimerWheel::insert`]) and the due run holds fewer
-/// than this many entries, inserts stay in the sorted `due` run instead of
-/// filing into slots: an insertion-sorted array of a few dozen cache-hot
-/// entries beats the wheel's file-and-cascade machinery at shallow depths.
+/// Bound on the sorted-run fast path only: an insert *ahead* of the cursor
+/// may jump the cursor and join the `due` run (see [`TimerWheel::insert`])
+/// only while the run holds fewer than this many entries; past it, such
+/// inserts file into slots. Inserts at or *behind* the cursor always join
+/// the run, so the run itself is unbounded — a 256-connection TCP-4 ramp
+/// grows it past 500 entries. Its cost stays low because it is kept in
+/// descending order: the inserts and pops touch only its near end.
 const SORTED_CAP: usize = 32;
 
 #[derive(Debug)]
@@ -61,10 +64,14 @@ pub struct TimerWheel<T> {
     /// The wheel's notion of "now": every entry still filed in a slot has
     /// `at > cursor`. Only ever advances.
     cursor: u64,
-    /// Entries at or behind the cursor, in `(at, seq)` order. The front of
-    /// this buffer is the global minimum whenever it is non-empty.
-    due: VecDeque<Entry<T>>,
-    /// `LEVELS * SLOTS` slot buckets, level-major.
+    /// Entries at or behind the cursor, in *descending* `(at, seq)` order:
+    /// the last element is the global minimum whenever the run is
+    /// non-empty, so pops take from the back and the near deadlines that
+    /// most inserts carry land within a few entries of it.
+    due: Vec<Entry<T>>,
+    /// `LEVELS * SLOTS` slot buckets, level-major. Empty until the first
+    /// entry is filed: a wheel whose entries all stay in the `due` run
+    /// never builds its levels.
     slots: Vec<Vec<Entry<T>>>,
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
@@ -80,8 +87,8 @@ impl<T> TimerWheel<T> {
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
             cursor: 0,
-            due: VecDeque::new(),
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            due: Vec::new(),
+            slots: Vec::new(),
             occupied: [0; LEVELS],
             levels: 0,
             len: 0,
@@ -104,11 +111,16 @@ impl<T> TimerWheel<T> {
     pub fn insert(&mut self, at: u64, seq: u64, item: T) {
         self.len += 1;
         if at <= self.cursor {
-            // At or behind the cursor (the cursor may run ahead of the
-            // caller's clock after a peek): keep the due buffer sorted.
-            // New entries carry the largest seq, so this is an append
-            // unless an earlier peek cached a later deadline up front.
-            let idx = self.due.partition_point(|e| (e.at, e.seq) <= (at, seq));
+            // At or behind the cursor (the cursor runs ahead of the
+            // caller's clock once a far deadline took the fast path below,
+            // or a peek cascaded to one): keep the run sorted. Scan from
+            // the near end, where a near deadline lands; the far timers
+            // that put the cursor ahead sit at the other end and never
+            // move.
+            let mut idx = self.due.len();
+            while idx > 0 && (self.due[idx - 1].at, self.due[idx - 1].seq) < (at, seq) {
+                idx -= 1;
+            }
             self.due.insert(idx, Entry { at, seq, item });
             return;
         }
@@ -119,23 +131,23 @@ impl<T> TimerWheel<T> {
         // jump changes sit below all of them), so the "lowest occupied
         // level holds the global minimum" refill rule stays intact, and
         // every filed deadline provably exceeds `at`. The entry then
-        // appends to the sorted due run (it beats the old cursor, hence
-        // everything in `due`, and carries the largest seq), skipping slot
-        // filing and the later cascade entirely. In this regime the wheel
-        // degenerates into an insertion-sorted array, which beats
-        // file-and-cascade at the shallow depths the simulator's event
-        // loop actually runs at: a bulk TCP transfer keeps ~4-10 near
-        // events outstanding below far-future RTO and lease timers, and
-        // those timers pin only coarse levels. The due-length cap keeps
-        // the run short in high-occupancy regimes (NAT tables holding
-        // hundreds of bindings), where slot filing takes over.
+        // becomes the far end of the sorted due run (it beats the old
+        // cursor, hence everything in `due`, and carries the largest seq),
+        // skipping slot filing and the later cascade entirely. In this
+        // regime the wheel degenerates into an insertion-sorted array,
+        // which beats file-and-cascade at the shallow depths the
+        // simulator's event loop actually runs at: a bulk TCP transfer
+        // keeps ~4-10 near events outstanding below far-future RTO and
+        // lease timers. The length cap bounds the shift this front insert
+        // pays, and hands high-occupancy regimes (NAT tables holding
+        // hundreds of bindings) to slot filing.
         let gate = match self.levels.trailing_zeros() as usize {
             l if l >= LEVELS => u64::MAX,
             lowest => (1u64 << (LEVEL_BITS * lowest as u32)) - 1,
         };
         if at ^ self.cursor <= gate && self.due.len() < SORTED_CAP {
             self.cursor = at;
-            self.due.push_back(Entry { at, seq, item });
+            self.due.insert(0, Entry { at, seq, item });
             return;
         }
         self.file(Entry { at, seq, item });
@@ -144,6 +156,9 @@ impl<T> TimerWheel<T> {
     /// Files an entry with `at > cursor` into its slot.
     fn file(&mut self, e: Entry<T>) {
         debug_assert!(e.at > self.cursor);
+        if self.slots.is_empty() {
+            self.slots = (0..LEVELS * SLOTS).map(|_| Vec::new()).collect();
+        }
         let level = ((63 - (e.at ^ self.cursor).leading_zeros()) / LEVEL_BITS) as usize;
         let slot = ((e.at >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         let bucket = &mut self.slots[level * SLOTS + slot];
@@ -154,7 +169,7 @@ impl<T> TimerWheel<T> {
         self.levels |= 1 << level;
     }
 
-    /// Refills the `due` buffer from the wheel, advancing the cursor to the
+    /// Refills the `due` run from the wheel, advancing the cursor to the
     /// earliest pending deadline. No-op when `due` is already non-empty or
     /// the wheel is drained.
     #[inline]
@@ -166,8 +181,8 @@ impl<T> TimerWheel<T> {
     }
 
     /// The slow half of [`TimerWheel::ensure_due`]: cascade slots until the
-    /// due buffer holds the minimum. Kept out of line so the common
-    /// buffer-already-primed path stays a single branch at the call sites.
+    /// due run holds the minimum. Kept out of line so the common
+    /// run-already-primed path stays a single branch at the call sites.
     fn refill_due(&mut self) {
         while self.due.is_empty() {
             // The lowest occupied level holds the globally minimal entry:
@@ -189,11 +204,11 @@ impl<T> TimerWheel<T> {
             }
             let shift = LEVEL_BITS * level as u32;
             if level == 0 {
-                // A level-0 slot is one exact tick; the bucket is already
-                // in seq order, so it becomes the due buffer verbatim.
+                // A level-0 slot is one exact tick; the bucket is in seq
+                // order, so it becomes the due run reversed.
                 self.cursor = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
                 debug_assert!(entries.iter().all(|e| e.at == self.cursor));
-                self.due.extend(entries.drain(..));
+                self.due.extend(entries.drain(..).rev());
                 self.slots[idx] = entries; // keep the allocation warm
                 return;
             }
@@ -205,11 +220,14 @@ impl<T> TimerWheel<T> {
             for e in entries.drain(..) {
                 if e.at <= self.cursor {
                     debug_assert!(e.at == self.cursor);
-                    self.due.push_back(e); // bucket order is seq order
+                    self.due.push(e); // bucket order is seq order
                 } else {
                     self.file(e);
                 }
             }
+            // The run was empty before this cascade: flip the seq-ascending
+            // entries it received into the run's descending order.
+            self.due.reverse();
             self.slots[idx] = entries;
         }
     }
@@ -219,14 +237,14 @@ impl<T> TimerWheel<T> {
     #[inline]
     pub fn peek(&mut self) -> Option<(u64, u64)> {
         self.ensure_due();
-        self.due.front().map(|e| (e.at, e.seq))
+        self.due.last().map(|e| (e.at, e.seq))
     }
 
     /// Removes and returns the minimal entry.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         self.ensure_due();
-        let e = self.due.pop_front()?;
+        let e = self.due.pop()?;
         self.len -= 1;
         Some((e.at, e.seq, e.item))
     }
@@ -235,11 +253,11 @@ impl<T> TimerWheel<T> {
     #[inline]
     pub fn pop_if(&mut self, pred: impl FnOnce(u64, u64, &T) -> bool) -> Option<(u64, u64, T)> {
         self.ensure_due();
-        let e = self.due.front()?;
+        let e = self.due.last()?;
         if !pred(e.at, e.seq, &e.item) {
             return None;
         }
-        let e = self.due.pop_front().expect("front exists");
+        let e = self.due.pop().expect("minimum exists");
         self.len -= 1;
         Some((e.at, e.seq, e.item))
     }
@@ -287,6 +305,48 @@ mod tests {
                 Some(&Reverse((at, _, _))) if at <= bound => self.pop(),
                 _ => None,
             }
+        }
+        fn pop_if(&mut self, pred: impl FnOnce(u64, u64, u32) -> bool) -> Option<(u64, u64, u32)> {
+            match self.heap.peek() {
+                Some(&Reverse((at, seq, item))) if pred(at, seq, item) => self.pop(),
+                _ => None,
+            }
+        }
+    }
+
+    /// A wheel and its heap oracle driven in lockstep: every pop-side call
+    /// asserts both agree.
+    #[derive(Default)]
+    struct Lockstep {
+        wheel: TimerWheel<u32>,
+        oracle: HeapOracle,
+        seq: u64,
+    }
+
+    impl Lockstep {
+        fn insert(&mut self, at: u64) {
+            self.wheel.insert(at, self.seq, self.seq as u32);
+            self.oracle.insert(at, self.seq, self.seq as u32);
+            self.seq += 1;
+        }
+        fn pop(&mut self) -> Option<(u64, u64, u32)> {
+            let got = self.wheel.pop();
+            assert_eq!(got, self.oracle.pop());
+            got
+        }
+        fn pop_if(&mut self, pred: impl Fn(u64, u64, u32) -> bool) -> Option<(u64, u64, u32)> {
+            let got = self.wheel.pop_if(|at, seq, &item| pred(at, seq, item));
+            assert_eq!(got, self.oracle.pop_if(pred));
+            got
+        }
+        fn peek(&mut self) -> Option<(u64, u64)> {
+            let got = self.wheel.peek();
+            assert_eq!(got, self.oracle.peek());
+            got
+        }
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.wheel.is_empty());
         }
     }
 
@@ -383,6 +443,102 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn matches_heap_on_the_bulk_shape() {
+        // The shape a bulk TCP transfer gives the event queue: an RTO at
+        // +200 ms and a DHCP lease at +1 h pull the cursor far ahead, and
+        // ~10 near events (link completions, deliveries) are inserted
+        // behind it and popped, with a rejected delivery-train `pop_if`
+        // after each pop. The RTO is re-armed (a fresh entry) now and then.
+        const MS: u64 = 1_000_000;
+        for seed in 60..=63 {
+            let mut rng = SimRng::new(seed);
+            let mut q = Lockstep::default();
+            q.insert(200 * MS);
+            q.insert(3_600_000 * MS);
+            let mut now = 0;
+            for _ in 0..10 {
+                q.insert(now + 1 + rng.below(50_000));
+            }
+            let mut behind = 0;
+            for round in 0..5_000 {
+                let (at, _, item) = q.pop().expect("near events stay queued");
+                now = at;
+                assert_eq!(q.pop_if(|t, _, i| t == now && i % 7 == item % 7 && i < item), None);
+                let near = now + 1 + rng.below(50_000);
+                behind += usize::from(near <= q.wheel.cursor);
+                q.insert(near);
+                if round % 100 == 0 {
+                    q.insert(now + 200 * MS);
+                }
+            }
+            assert!(behind > 4_900, "only {behind} of 5000 near inserts landed behind the cursor");
+            q.drain();
+        }
+    }
+
+    #[test]
+    fn matches_heap_on_a_long_run_behind_the_cursor() {
+        // The TCP-4 ramp shape: one far timer moves the cursor ahead, then
+        // hundreds of near deadlines pile up behind it in random order,
+        // with a few pops in between.
+        for seed in 70..=72 {
+            let mut rng = SimRng::new(seed);
+            let mut q = Lockstep::default();
+            q.insert(1 << 40);
+            let mut floor = 0;
+            let mut longest = 0;
+            for i in 0..800 {
+                q.insert(floor + rng.below(1 << 20));
+                if i % 16 == 15 {
+                    floor = q.pop().expect("queued").0;
+                }
+                longest = longest.max(q.wheel.due.len());
+            }
+            assert!(longest >= 600, "the run peaked at {longest} entries");
+            q.drain();
+        }
+    }
+
+    #[test]
+    fn peek_then_earlier_inserts_match_heap() {
+        // A peek cascades the cursor to the next deadline without popping
+        // it; inserts earlier than (or tied with) that deadline must still
+        // pop in order, at every level the cascade crossed.
+        for seed in 80..=85 {
+            let mut rng = SimRng::new(seed);
+            let mut q = Lockstep::default();
+            let mut floor = 0u64;
+            for _ in 0..300 {
+                for _ in 0..4 {
+                    let level = 1 + rng.below(6);
+                    q.insert(floor + 1 + rng.below(1 << (6 * level)));
+                }
+                let (peeked, _) = q.peek().expect("queued");
+                for _ in 0..3 {
+                    q.insert(floor + rng.below(peeked - floor + 1));
+                }
+                q.insert(peeked);
+                floor = q.pop().expect("queued").0;
+            }
+            q.drain();
+        }
+    }
+
+    #[test]
+    fn levels_are_built_on_first_file() {
+        let mut w = TimerWheel::new();
+        for seq in 0..SORTED_CAP as u64 {
+            w.insert(10 * (seq + 1), seq, ());
+        }
+        w.insert(5, 32, ());
+        assert!(w.slots.is_empty(), "entries that stay in the run build no levels");
+        // The run is full: the next deadline ahead of the cursor files.
+        w.insert(1 << 20, 33, ());
+        assert_eq!(w.slots.len(), LEVELS * SLOTS);
+        assert_eq!(w.pop(), Some((5, 32, ())));
     }
 
     #[test]

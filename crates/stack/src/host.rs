@@ -360,7 +360,8 @@ impl Host {
                 repr.src_addr = addr;
             }
         }
-        let frame = repr.emit_with_payload_into(payload, ctx.alloc_frame(0));
+        let buf = ctx.alloc_frame(repr.header_len() + payload.len());
+        let frame = repr.emit_with_payload_into(payload, buf);
         ctx.send_frame(port, frame);
     }
 
@@ -409,9 +410,9 @@ impl Host {
         } else {
             // Option-bearing headers (SYN/SYN-ACK) don't fit the reserved
             // prefix; build the frame by appending as before.
-            let mut frame = ctx.alloc_frame(0);
-            frame.clear();
-            ip_repr.emit_header_into(seg.repr.segment_len(seg.payload().len()), &mut frame);
+            let tcp_len = seg.repr.segment_len(seg.payload().len());
+            let mut frame = ctx.alloc_frame(ip_repr.header_len() + tcp_len);
+            ip_repr.emit_header_into(tcp_len, &mut frame);
             seg.repr.emit_with_payload_sum_onto(
                 src,
                 dst,
@@ -431,7 +432,8 @@ impl Host {
                 repr.src_addr = addr;
             }
         }
-        let frame = repr.emit_with_payload_into(payload, ctx.alloc_frame(0));
+        let buf = ctx.alloc_frame(repr.header_len() + payload.len());
+        let frame = repr.emit_with_payload_into(payload, buf);
         ctx.send_frame(port, frame);
     }
 

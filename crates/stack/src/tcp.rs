@@ -937,7 +937,7 @@ impl TcpSocket {
                     repr.options = vec![TcpOption::MaxSegmentSize(self.config.mss as u16)];
                     self.snd_nxt = self.iss.add(1);
                     self.track_snd_max();
-                    let buf = self.headroom_buf(pool);
+                    let buf = headroom_buf(pool, 0);
                     out.push(TcpSegment::new(repr, buf, 0));
                     self.syn_pending = false;
                 }
@@ -949,7 +949,7 @@ impl TcpSocket {
                     repr.options = vec![TcpOption::MaxSegmentSize(self.config.mss as u16)];
                     self.snd_nxt = self.iss.add(1);
                     self.track_snd_max();
-                    let buf = self.headroom_buf(pool);
+                    let buf = headroom_buf(pool, 0);
                     out.push(TcpSegment::new(repr, buf, 0));
                     self.syn_pending = false;
                 }
@@ -1045,15 +1045,6 @@ impl TcpSocket {
         }
     }
 
-    /// A pool buffer with room for a full segment, pre-filled with
-    /// [`SEGMENT_HEADROOM`] zero bytes, ready to receive payload at its
-    /// final wire offset.
-    fn headroom_buf(&self, pool: &mut FramePool) -> Vec<u8> {
-        let mut out = pool.get_with_capacity(SEGMENT_HEADROOM + self.effective_mss() as usize);
-        out.resize(SEGMENT_HEADROOM, 0);
-        out
-    }
-
     /// How many bytes (at most `max`) the send buffer holds from absolute
     /// sequence `seq` on.
     fn buffered_len(&self, seq: SeqNumber, max: usize) -> usize {
@@ -1081,7 +1072,7 @@ impl TcpSocket {
     }
 
     fn make_segment(&self, flags: TcpFlags, seq: SeqNumber, pool: &mut FramePool) -> TcpSegment {
-        let buf = self.headroom_buf(pool);
+        let buf = headroom_buf(pool, 0);
         TcpSegment::new(self.header(flags, seq), buf, 0)
     }
 
@@ -1095,11 +1086,21 @@ impl TcpSocket {
         len: usize,
         pool: &mut FramePool,
     ) -> TcpSegment {
-        let mut buf = self.headroom_buf(pool);
+        let mut buf = headroom_buf(pool, len);
         let start = seq.dist(self.send_buf_seq) as usize;
         let payload_sum = self.send_buf.copy_range_into_with_sum(start, len, &mut buf);
         TcpSegment::new(self.header(flags, seq), buf, payload_sum)
     }
+}
+
+/// A pool buffer sized for a segment carrying `payload_len` bytes,
+/// pre-filled with [`SEGMENT_HEADROOM`] zero bytes, ready to receive the
+/// payload at its final wire offset. Sizing it to the segment keeps a SYN
+/// or an ACK from pinning a full-MSS buffer.
+fn headroom_buf(pool: &mut FramePool, payload_len: usize) -> Vec<u8> {
+    let mut out = pool.get(SEGMENT_HEADROOM + payload_len);
+    out.resize(SEGMENT_HEADROOM, 0);
+    out
 }
 
 /// Extracts the MSS option from a SYN.

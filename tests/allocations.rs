@@ -4,11 +4,14 @@
 //! frame pool and reuses its stream-buffer chunks, so moving more bytes
 //! must not make more allocations. A counting global allocator measures
 //! the calling thread only, which keeps the other tests of this binary
-//! (run on their own threads) out of the figures.
+//! (run on their own threads) out of the figures. It also tracks the live
+//! heap, so the memory a probe holds at its peak is gated along with what
+//! it allocates in total.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hgw_core::FramePool;
 use hgw_probe::max_bindings::measure_max_bindings;
 use hgw_probe::throughput::run_battery;
 use home_gateway_study::prelude::*;
@@ -18,12 +21,21 @@ struct CountingAlloc;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread; a block freed by
+    /// another thread than the one that made it skews both threads' counts,
+    /// which the single-threaded probes measured here never do.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count(bytes: usize) {
+fn count(allocs: u64, requested: usize, live_delta: i64) {
     // `try_with` fails only while the thread's locals are being torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
+    let _ = BYTES.try_with(|c| c.set(c.get() + requested as u64));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + live_delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -31,21 +43,22 @@ fn count(bytes: usize) {
 // so updating them never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(1, layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(1, layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(1, new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, 0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -53,21 +66,35 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(allocations, bytes requested)` made by this thread while running `f`.
-/// A `realloc` counts as one allocation of its new size.
-fn allocations_during(f: impl FnOnce()) -> (u64, u64) {
-    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+/// What this thread's heap did while running `f`.
+struct HeapUse {
+    /// Allocations; a `realloc` counts as one allocation of its new size.
+    allocs: u64,
+    /// Bytes requested by those allocations.
+    bytes: u64,
+    /// Highest live-heap level reached, above the level `f` started at.
+    peak_live: u64,
+}
+
+fn heap_use_during(f: impl FnOnce()) -> HeapUse {
+    let (allocs, bytes, live) =
+        (ALLOCS.with(Cell::get), BYTES.with(Cell::get), LIVE.with(Cell::get));
+    PEAK.with(|peak| peak.set(live));
     f();
-    (ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
+    HeapUse {
+        allocs: ALLOCS.with(Cell::get) - allocs,
+        bytes: BYTES.with(Cell::get) - bytes,
+        peak_live: (PEAK.with(Cell::get) - live) as u64,
+    }
 }
 
 fn battery_allocations(bytes: u64) -> u64 {
     let mut tb = Testbed::new("alloc-tcp2", GatewayPolicy::well_behaved(), 1, 7);
-    let (allocs, _) = allocations_during(|| {
+    heap_use_during(|| {
         let rep = run_battery(&mut tb, bytes);
         assert!(rep.upload.completed && rep.download.completed, "{rep:?}");
-    });
-    allocs
+    })
+    .allocs
 }
 
 #[test]
@@ -86,10 +113,36 @@ fn bulk_transfer_allocations_do_not_grow_with_bytes() {
 #[test]
 fn connection_ramp_stays_within_its_memory_budget() {
     let mut tb = Testbed::new("alloc-tcp4", GatewayPolicy::well_behaved(), 1, 7);
-    let (_, bytes) = allocations_during(|| {
+    let heap = heap_use_during(|| {
         let r = measure_max_bindings(&mut tb, 32, 256);
         assert_eq!(r.max_bindings, 256);
     });
-    eprintln!("256-connection ramp: {bytes} bytes allocated");
-    assert!(bytes < 6 << 20, "a 256-connection ramp allocated {bytes} bytes");
+    let mut pool = FramePool::new();
+    tb.topo.sim.drain_frame_pool(&mut pool);
+    eprintln!(
+        "256-connection ramp: {} bytes allocated, peak live heap {} bytes, \
+         frame pool retains {} buffers / {} bytes",
+        heap.bytes,
+        heap.peak_live,
+        pool.retained(),
+        pool.retained_bytes()
+    );
+    assert!(heap.bytes < 6 << 20, "a 256-connection ramp allocated {} bytes", heap.bytes);
+    // Every frame of the ramp is a SYN, an ACK or a few-byte echo: none
+    // may pin a full-segment buffer, in the pool or in flight. With
+    // MSS-sized buffers for every segment the peak was 1 185 286 bytes.
+    assert!(heap.peak_live < 900_000, "the ramp's live heap peaked at {} bytes", heap.peak_live);
+    assert!(pool.retained_bytes() < 64 << 10, "the pool retains {} bytes", pool.retained_bytes());
+}
+
+#[test]
+fn testbed_bring_up_builds_no_idle_wheel_levels() {
+    let build = || Testbed::new("alloc-new", GatewayPolicy::well_behaved(), 1, 7);
+    drop(build()); // warm-up: one-time tables and lazy statics
+    let heap = heap_use_during(|| drop(build()));
+    eprintln!("Testbed::new: {} allocations, {} bytes", heap.allocs, heap.bytes);
+    // The three event/expiry queues hold no filed timer after bring-up, so
+    // none of them may allocate its 704 slot buckets (16 896 bytes each);
+    // with eagerly built levels one Testbed::new allocated 113 769 bytes.
+    assert!(heap.bytes < 72_000, "one Testbed::new allocated {} bytes", heap.bytes);
 }
