@@ -31,16 +31,21 @@ use hgw_wire::ip::{Ipv4Repr, Protocol};
 use hgw_wire::tcp::TcpRepr;
 use hgw_wire::{Ipv4Packet, TcpFlags, TcpPacket};
 
-/// Times `f` for ~`budget_ms` wall-clock ms, prints one result line, and
+/// Times `f` for ~`HGW_BENCH_MS` wall-clock ms, prints one result line, and
 /// records the measurement into `results`.
 fn bench<R>(
     results: &mut Vec<MicroResult>,
     group: &str,
     name: &str,
     bytes_per_iter: Option<u64>,
-    mut f: impl FnMut() -> R,
+    f: impl FnMut() -> R,
 ) {
-    let budget_ms = hgw_bench::env_u64("HGW_BENCH_MS", 300);
+    let (ns, iters) = time_leg(hgw_bench::env_u64("HGW_BENCH_MS", 300), f);
+    record(results, group, name, bytes_per_iter, ns, iters);
+}
+
+/// Runs `f` for ~`budget_ms` wall-clock ms; returns ns/iter and iterations.
+fn time_leg<R>(budget_ms: u64, mut f: impl FnMut() -> R) -> (f64, u64) {
     // Calibrate: double the batch until it takes at least 1 ms.
     let mut batch = 1u64;
     let per_iter_ns = loop {
@@ -60,8 +65,18 @@ fn bench<R>(
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    let elapsed = start.elapsed();
-    let ns = elapsed.as_nanos() as f64 / iters as f64;
+    (start.elapsed().as_nanos() as f64 / iters as f64, iters)
+}
+
+/// Prints one result line and records it into `results`.
+fn record(
+    results: &mut Vec<MicroResult>,
+    group: &str,
+    name: &str,
+    bytes_per_iter: Option<u64>,
+    ns: f64,
+    iters: u64,
+) {
     let mut line = format!("{group}/{name:<32} {ns:>14.1} ns/iter  ({iters} iters)");
     let mb_per_s = bytes_per_iter.map(|b| {
         let mbps = b as f64 / (ns / 1e9) / 1e6;
@@ -505,20 +520,53 @@ fn bench_telemetry(results: &mut Vec<MicroResult>) {
         v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
         h.record(v >> 40);
     });
-    // The on/off pair `bench_diff` machine-checks: identical boxed engines,
-    // telemetry (histograms and flight recorder) enabled on one and left
-    // disabled on the other. The disabled leg is what every run without
-    // telemetry pays for carrying its branches — `bench_diff` holds it to
-    // the ≤2% budget against `sim_event_dispatch_boxed`.
-    let mut off_sim = Simulator::new(1);
-    off_sim.add_node(Box::new(TimerPingPong));
-    off_sim.boot();
-    bench(results, "telemetry", "sim_event_dispatch_telemetry_off", None, || off_sim.step());
-    let mut sim = Simulator::new(1);
-    sim.enable_telemetry();
-    sim.add_node(Box::new(TimerPingPong));
-    sim.boot();
-    bench(results, "telemetry", "sim_event_dispatch_telemetry_on", None, || sim.step());
+    // The legs `bench_diff` machine-checks: three identical boxed engines
+    // on the timer-only path, one with telemetry (histograms and flight
+    // recorder) enabled, one with it disabled, one plain. The disabled leg
+    // is what every run without telemetry pays for carrying its branches;
+    // `bench_diff` holds it to the ≤2% budget against the plain leg. The
+    // legs take turns in TELEMETRY_REPEATS rounds, in alternating order,
+    // and each reports its median round, so a machine-speed shift during
+    // the run lands on all three instead of deciding the verdict.
+    let mut legs: Vec<(&str, Simulator)> = ["baseline", "off", "on"]
+        .into_iter()
+        .map(|leg| {
+            let mut sim = Simulator::new(1);
+            if leg == "on" {
+                sim.enable_telemetry();
+            }
+            sim.add_node(Box::new(TimerPingPong));
+            sim.boot();
+            (leg, sim)
+        })
+        .collect();
+    let round_ms = hgw_bench::env_u64("HGW_BENCH_MS", 300).div_ceil(TELEMETRY_REPEATS as u64);
+    let mut rounds = vec![Vec::with_capacity(TELEMETRY_REPEATS); legs.len()];
+    let mut iters = vec![0u64; legs.len()];
+    for round in 0..TELEMETRY_REPEATS {
+        let mut order: Vec<usize> = (0..legs.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            let (ns, n) = time_leg(round_ms, || legs[i].1.step());
+            rounds[i].push(ns);
+            iters[i] += n;
+        }
+    }
+    for (i, (leg, _)) in legs.iter().enumerate() {
+        let name = format!("sim_event_dispatch_telemetry_{leg}");
+        record(results, "telemetry", &name, None, median(&mut rounds[i]), iters[i]);
+    }
+}
+
+/// Interleaved rounds per telemetry-budget leg.
+const TELEMETRY_REPEATS: usize = 5;
+
+/// The median of `xs` (the upper middle for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {

@@ -28,7 +28,7 @@ fn ablate_pattern_timeouts() {
     modeled.udp_timeout_solitary = Duration::from_secs(30);
     modeled.udp_timeout_inbound = Duration::from_secs(180);
     modeled.udp_timeout_bidirectional = Duration::from_secs(300);
-    let mut flat = modeled.clone();
+    let mut flat = modeled;
     flat.udp_timeout_solitary = Duration::from_secs(180);
     flat.udp_timeout_inbound = Duration::from_secs(180);
     flat.udp_timeout_bidirectional = Duration::from_secs(180);

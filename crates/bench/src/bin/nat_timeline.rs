@@ -77,9 +77,8 @@ fn traced_udp1(tb: &mut Testbed, server_port: u16) -> (f64, Vec<FlowBindingHisto
 fn record(opts: &RecordOpts) -> Result<(), String> {
     let dev = device(&opts.device)
         .ok_or_else(|| format!("unknown device tag {:?} (see Table 1 tags)", opts.device))?;
-    let build = |hosts: usize| {
-        Testbed::builder(dev.tag, dev.policy.clone()).seed(opts.seed).hosts(hosts).build()
-    };
+    let build =
+        |hosts: usize| Testbed::builder(dev.tag, dev.policy).seed(opts.seed).hosts(hosts).build();
     let histories = match opts.probe.as_str() {
         "udp1" => {
             let (traced, histories) = traced_udp1(&mut build(1), 20_000);

@@ -7,9 +7,9 @@ fn main() {
     let mut table = TextTable::new(&["Vendor", "Model", "Firmware", "Tag"]);
     for d in hgw_devices::all_devices() {
         table.row(vec![
-            d.vendor.to_string(),
-            d.model.to_string(),
-            d.firmware.to_string(),
+            d.provenance.vendor.to_string(),
+            d.provenance.model.to_string(),
+            d.provenance.firmware.to_string(),
             d.tag.to_string(),
         ]);
     }

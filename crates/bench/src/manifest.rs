@@ -51,12 +51,12 @@ use hgw_probe::household::HouseholdFleetSummary;
 /// to sequential is visible at a glance.
 ///
 /// `/7` adds the optional top-level `binding_lifecycle` block — the
-/// lifecycle-traced campaign's fleet aggregate: per-kind event totals
-/// (`created` … `port_preserved_reuse`), the per-device churn-rate
-/// distribution in events/minute, the pooled live-binding occupancy
-/// distribution, the per-device refusal-onset distribution in seconds, and
-/// `exhausted_devices`. `null` when the campaign ran without
-/// [`FleetRunner::lifecycle`](hgw_probe::fleet::FleetRunner::lifecycle).
+/// household leg's fleet aggregate of the always-on NAT lifecycle
+/// counters: per-kind event totals (`created` … `port_preserved_reuse`),
+/// the per-device churn-rate distribution in events/minute, the pooled
+/// live-binding occupancy distribution, the per-device refusal-onset
+/// distribution in seconds, and `exhausted_devices`. `null` when the
+/// manifest was rendered without the household leg.
 pub const SCHEMA: &str = "hgw-fleet-manifest/7";
 
 /// Escapes a string for embedding in hand-emitted JSON.

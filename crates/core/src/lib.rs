@@ -20,6 +20,7 @@ pub mod link;
 pub mod node;
 pub mod pcap;
 pub mod pool;
+mod recycle;
 pub mod rng;
 pub mod sim;
 pub mod telemetry;
@@ -33,6 +34,7 @@ pub use link::{Dir, FaultConfig, Link, LinkConfig, LinkDirStats, LinkId};
 pub use node::{Action, Node, NodeCtx, NodeId, PortId, TimerToken};
 pub use pcap::{write_pcap, PcapWriter};
 pub use pool::FramePool;
+pub use recycle::Cleared;
 pub use rng::SimRng;
 pub use sim::{SimCore, SimStats, Simulator};
 pub use telemetry::{

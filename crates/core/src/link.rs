@@ -169,15 +169,27 @@ const MAX_PRESIZED_SLOTS: usize = 256;
 
 impl LinkDir {
     fn new(config: &LinkConfig) -> LinkDir {
-        // Pre-size the FIFO for the frames its byte budget can hold, so a
-        // saturated link never reallocates the ring mid-run.
-        let slots = (config.queue_bytes / TYPICAL_FRAME_BYTES).clamp(1, MAX_PRESIZED_SLOTS);
-        LinkDir {
-            queue: VecDeque::with_capacity(slots),
+        let mut dir = LinkDir {
+            queue: VecDeque::new(),
             queued_bytes: 0,
             transmitting: false,
             stats: LinkDirStats::default(),
-        }
+        };
+        dir.reset(config);
+        dir
+    }
+
+    /// Empties the direction for a link configured as `config`, keeping
+    /// the ring's allocation: the state [`LinkDir::new`] returns.
+    fn reset(&mut self, config: &LinkConfig) {
+        // Pre-size the FIFO for the frames its byte budget can hold, so a
+        // saturated link never reallocates the ring mid-run.
+        let slots = (config.queue_bytes / TYPICAL_FRAME_BYTES).clamp(1, MAX_PRESIZED_SLOTS);
+        self.queue.clear();
+        self.queue.reserve(slots);
+        self.queued_bytes = 0;
+        self.transmitting = false;
+        self.stats = LinkDirStats::default();
     }
 
     /// Attempts to enqueue at time `now`; a tail drop hands the frame back
@@ -238,6 +250,15 @@ impl Link {
     pub(crate) fn new(config: LinkConfig, a: (NodeId, PortId), b: (NodeId, PortId)) -> Link {
         let dirs = [LinkDir::new(&config), LinkDir::new(&config)];
         Link { config, a, b, dirs, trace: [None, None] }
+    }
+
+    /// Rewires a retired link as `Link::new(config, a, b)` would build it,
+    /// reusing its two queue rings.
+    pub(crate) fn renew(&mut self, config: LinkConfig, a: (NodeId, PortId), b: (NodeId, PortId)) {
+        for dir in &mut self.dirs {
+            dir.reset(&config);
+        }
+        (self.config, self.a, self.b, self.trace) = (config, a, b, [None, None]);
     }
 
     /// The endpoint a frame traveling in `dir` is delivered to.

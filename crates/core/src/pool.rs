@@ -117,14 +117,15 @@ impl FramePool {
     /// up to this pool's retention caps (buffers beyond a cap are freed).
     /// Counters are left untouched on both sides: absorption transfers
     /// *capacity*, not history.
-    ///
-    /// This is the fleet runner's arena-reuse primitive: a worker drains a
-    /// finished device's warm buffers into its arena, then seeds the next
-    /// device's fresh pool from it, so a mega-fleet run stops paying the
-    /// per-device allocation ramp-up.
     pub fn absorb(&mut self, other: &mut FramePool) {
         absorb_class(&mut self.small, &mut other.small);
         absorb_class(&mut self.large, &mut other.large);
+    }
+
+    /// The same buffers under fresh counters: what a reset simulator keeps
+    /// of its pool ([`SimCore::reset`](crate::SimCore::reset)).
+    pub(crate) fn recycled(self) -> FramePool {
+        FramePool { hits: 0, misses: 0, ..self }
     }
 }
 

@@ -19,6 +19,7 @@ use crate::dispatch::SimNode;
 use crate::link::{Dir, Link, LinkConfig, LinkId};
 use crate::node::{Action, Node, NodeCtx, NodeId, PortId, TimerToken};
 use crate::pool::FramePool;
+use crate::recycle::Cleared;
 use crate::rng::SimRng;
 use crate::telemetry::Telemetry;
 use crate::time::{Duration, Instant};
@@ -88,10 +89,10 @@ pub struct SimStats {
     /// Frame-buffer requests served from the recycling pool. Purely an
     /// allocator-pressure metric: it never influences simulation behavior.
     /// Deterministic for a given seed and topology on a fresh pool; when a
-    /// fleet worker seeds the pool with buffers recycled from a previous
-    /// device ([`SimCore::seed_frame_pool`]), the hit/miss split also
-    /// depends on what ran before, so fleet equivalence checks must compare
-    /// event-sequence counters, not pool counters.
+    /// fleet worker builds a device into the simulator of a previous one
+    /// ([`SimCore::reset`] keeps the pool's buffers), the hit/miss split
+    /// also depends on what ran before, so fleet equivalence checks must
+    /// compare event-sequence counters, not pool counters.
     pub pool_hits: u64,
     /// Frame-buffer requests that had to allocate because the pool was
     /// empty. `pool_hits + pool_misses` is the total number of pooled
@@ -134,6 +135,18 @@ pub struct SimCore<K> {
     /// allocates no action buffers. Taken (leaving an empty `Vec`) while a
     /// callback runs, drained by `apply_actions`, then put back.
     scratch_actions: Vec<Action>,
+    /// Port tables and links of a previous topology, emptied by
+    /// [`SimCore::reset`] and handed out again by `add_node`/`connect`.
+    spare_ports: Vec<Vec<Option<(LinkId, Dir)>>>,
+    spare_links: Vec<Link>,
+}
+
+/// An empty simulator seeded with 0 — the storage [`SimCore::reset`]
+/// builds on when there is no previous simulator to reuse.
+impl<K: SimNode> Default for SimCore<K> {
+    fn default() -> SimCore<K> {
+        SimCore::new(0)
+    }
 }
 
 /// The boxed-slot simulator: dynamic dispatch through `Box<dyn Node>`,
@@ -158,8 +171,36 @@ impl<K: SimNode> SimCore<K> {
             booted: false,
             observer: None,
             telemetry: None,
-            scratch_actions: Vec::with_capacity(16),
+            scratch_actions: Vec::new(),
+            spare_ports: Vec::new(),
+            spare_links: Vec::new(),
         }
+    }
+
+    /// Empties the simulator into the state `SimCore::new(seed)` returns,
+    /// keeping only the capacity of its containers: the event wheel and its
+    /// levels, the node and link slabs, the port tables, link queues and
+    /// the frame pool's buffers. Every logical field — clock, `seq`, RNG
+    /// root, stats, pool counters, observer, telemetry — comes from `new`,
+    /// so a topology rebuilt on a reset simulator replays exactly as on a
+    /// fresh one. The old nodes are handed to `retire`, in id order, so
+    /// the caller can recycle their own containers.
+    pub fn reset(&mut self, seed: u64, mut retire: impl FnMut(K)) {
+        let mut old = std::mem::replace(self, SimCore::new(seed));
+        old.nodes.drain(..).for_each(&mut retire);
+        self.nodes = old.nodes;
+        self.spare_ports = old.spare_ports;
+        self.spare_ports.extend(old.meta.drain(..).map(|mut m| {
+            m.ports.clear();
+            m.ports
+        }));
+        self.meta = old.meta;
+        self.spare_links = old.spare_links;
+        self.spare_links.append(&mut old.links);
+        self.links = old.links;
+        self.queue = old.queue.cleared();
+        self.pool = old.pool.recycled();
+        self.scratch_actions = old.scratch_actions.cleared();
     }
 
     /// The current simulated time.
@@ -175,19 +216,9 @@ impl<K: SimNode> SimCore<K> {
         stats
     }
 
-    /// Seeds the frame pool with warm buffers from `donor` (up to the
-    /// pool's retention cap). Buffer capacity is pure allocator state —
-    /// frames are always handed out cleared — so seeding never changes
-    /// event sequences or results, only the pool hit/miss split (see
-    /// [`SimStats::pool_hits`]).
-    pub fn seed_frame_pool(&mut self, donor: &mut FramePool) {
-        self.pool.absorb(donor);
-    }
-
-    /// Drains the frame pool's retained buffers into `into`, so a finished
-    /// simulator's warm working set can outlive it (the fleet runner's
-    /// per-worker arena reuse). Hit/miss counters stay behind with the
-    /// simulator.
+    /// Drains the frame pool's retained buffers into `into` (the
+    /// allocation tests read what a probe left in the pool this way).
+    /// Hit/miss counters stay behind with the simulator.
     pub fn drain_frame_pool(&mut self, into: &mut FramePool) {
         into.absorb(&mut self.pool);
     }
@@ -257,7 +288,8 @@ impl<K: SimNode> SimCore<K> {
         let id = NodeId(self.nodes.len());
         let rng = self.root_rng.fork(id.0 as u64 + 1);
         self.nodes.push(node);
-        self.meta.push(NodeMeta { rng, ports: Vec::new() });
+        let ports = self.spare_ports.pop().unwrap_or_default();
+        self.meta.push(NodeMeta { rng, ports });
         id
     }
 
@@ -276,7 +308,14 @@ impl<K: SimNode> SimCore<K> {
         config: LinkConfig,
     ) -> LinkId {
         let id = LinkId(self.links.len());
-        self.links.push(Link::new(config, (a, ap), (b, bp)));
+        let link = match self.spare_links.pop() {
+            Some(mut link) => {
+                link.renew(config, (a, ap), (b, bp));
+                link
+            }
+            None => Link::new(config, (a, ap), (b, bp)),
+        };
+        self.links.push(link);
         self.bind_port(a, ap, id, Dir::AtoB);
         self.bind_port(b, bp, id, Dir::BtoA);
         id

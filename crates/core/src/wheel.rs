@@ -95,6 +95,27 @@ impl<T> TimerWheel<T> {
         }
     }
 
+    /// Drops every entry and moves the cursor back to 0: the state
+    /// [`TimerWheel::new`] returns, except that levels already built stay
+    /// built and the `due` run keeps its capacity. Pop order depends only
+    /// on `(at, seq)`, never on whether the levels exist, so a cleared
+    /// wheel behaves exactly like a fresh one.
+    ///
+    /// The slot buckets' own allocations are freed: a bucket keeps the peak
+    /// of whatever deadlines once mapped to it, and over many reuses those
+    /// peaks would add up across all 704 slots (a TCP-4 ramp's events in
+    /// every slot they ever touched) instead of staying one run's worth.
+    pub fn clear(&mut self) {
+        for bucket in &mut self.slots {
+            *bucket = Vec::new();
+        }
+        self.due.clear();
+        self.cursor = 0;
+        self.occupied = [0; LEVELS];
+        self.levels = 0;
+        self.len = 0;
+    }
+
     /// Entries currently queued.
     pub fn len(&self) -> usize {
         self.len
@@ -266,6 +287,13 @@ impl<T> TimerWheel<T> {
     /// before `bound` (inclusive, matching a `BTreeMap` range sweep).
     pub fn pop_due(&mut self, bound: u64) -> Option<(u64, u64, T)> {
         self.pop_if(|at, _, _| at <= bound)
+    }
+}
+
+impl<T> crate::Cleared for TimerWheel<T> {
+    fn cleared(mut self) -> Self {
+        self.clear();
+        self
     }
 }
 

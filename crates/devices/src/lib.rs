@@ -1,8 +1,9 @@
 //! # hgw-devices — the 34 calibrated device profiles of Table 1
 //!
 //! Each commercial home gateway the paper measured becomes a
-//! [`DeviceProfile`]: the Table 1 identity (vendor/model/firmware/tag) plus
-//! a [`GatewayPolicy`](hgw_gateway::GatewayPolicy) calibrated so the
+//! [`DeviceProfile`]: the Table 1 identity (tag plus a [`Provenance`]
+//! record of vendor/model/firmware) and a
+//! [`GatewayPolicy`](hgw_gateway::GatewayPolicy) calibrated so the
 //! measurement suite reproduces the published per-device and population
 //! results (see `DESIGN.md` §5 for the calibration policy and
 //! `tools/calibrate.py` for the constraint solving).
@@ -14,22 +15,22 @@ mod data;
 pub mod profile;
 pub mod sampler;
 
-pub use profile::{DeviceProfile, Expected};
+pub use profile::{DeviceProfile, Expected, Provenance};
 pub use sampler::{synthetic_fleet, ProfileSpace};
 
 /// Returns all 34 device profiles in Table 1 order.
 pub fn all_devices() -> Vec<DeviceProfile> {
-    data::build_all()
+    data::DEVICES.to_vec()
 }
 
 /// Looks up a device by its paper tag.
 pub fn device(tag: &str) -> Option<DeviceProfile> {
-    all_devices().into_iter().find(|d| d.tag == tag)
+    data::DEVICES.iter().find(|d| d.tag == tag).copied()
 }
 
 /// The tags in Table 1 order.
 pub fn all_tags() -> Vec<&'static str> {
-    all_devices().iter().map(|d| d.tag).collect()
+    data::DEVICES.iter().map(|d| d.tag).collect()
 }
 
 #[cfg(test)]
@@ -48,8 +49,8 @@ mod tests {
     #[test]
     fn lookup_by_tag() {
         let ls1 = device("ls1").expect("ls1 exists");
-        assert_eq!(ls1.vendor, "Linksys");
-        assert_eq!(ls1.model, "BEFSR41c2");
+        assert_eq!(ls1.provenance.vendor, "Linksys");
+        assert_eq!(ls1.provenance.model, "BEFSR41c2");
         assert!(device("nonexistent").is_none());
     }
 

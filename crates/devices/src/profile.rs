@@ -18,18 +18,29 @@ pub struct Expected {
     pub max_bindings: usize,
 }
 
-/// One of the 34 home gateway models of Table 1, with its calibrated
-/// behavior policy.
-#[derive(Debug, Clone)]
-pub struct DeviceProfile {
-    /// Shorthand tag used throughout the paper (e.g. `ls1`).
-    pub tag: &'static str,
+/// Where a profile comes from: the Table 1 identity of a measured device,
+/// or the sampler that synthesized it. Profiles point at one shared
+/// `'static` record instead of carrying three string slices each.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Provenance {
     /// Vendor name (Table 1).
     pub vendor: &'static str,
     /// Model (Table 1).
     pub model: &'static str,
     /// Firmware revision (Table 1).
     pub firmware: &'static str,
+}
+
+/// One of the 34 home gateway models of Table 1, with its calibrated
+/// behavior policy — or a synthetic profile drawn from their population
+/// (see [`crate::sampler`]). Plain data: copying one moves 208 bytes and
+/// touches no heap.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceProfile {
+    /// Shorthand tag used throughout the paper (e.g. `ls1`).
+    pub tag: &'static str,
+    /// Vendor, model and firmware.
+    pub provenance: &'static Provenance,
     /// The calibrated behavior model.
     pub policy: GatewayPolicy,
     /// Calibration targets.

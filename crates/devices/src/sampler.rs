@@ -58,15 +58,22 @@
 //! assert_eq!(format!("{:?}", lone), format!("{:?}", fleet[7]));
 //! ```
 
+use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
 use hgw_core::{Duration, SimRng};
 use hgw_gateway::{DnsProxyPolicy, EndpointScope, GatewayPolicy, PortAssignment};
 
-use crate::profile::{DeviceProfile, Expected};
+use crate::profile::{DeviceProfile, Expected, Provenance};
 
 /// Version stamp recorded as every synthetic profile's `firmware` field,
 /// so manifests and debug output identify which sampling model produced a
 /// profile.
 pub const SAMPLER_VERSION: &str = "hgw-sampler/1";
+
+/// The provenance record every synthetic profile points at.
+pub static SYNTHETIC: Provenance =
+    Provenance { vendor: "Synthetic", model: "profile-space", firmware: SAMPLER_VERSION };
 
 /// An empirical distribution over one continuous dimension: the sorted
 /// observed values, sampled by inverse CDF with uniform interpolation
@@ -210,13 +217,19 @@ impl ProfileSpace {
     ///
     /// Pure in `(seed, slot)`: any slot regenerates independently of all
     /// others (see the module docs for the seeding contract). Synthetic
-    /// tags are `syn<slot:05>`; vendor/model/firmware identify the sampler.
+    /// tags are `syn<slot:05>`; the provenance record is [`SYNTHETIC`].
     pub fn sample(&self, seed: u64, slot: usize) -> DeviceProfile {
+        let tags = TagArena::lock(slot + 1);
+        self.generate(seed, slot, tags.tag(slot))
+    }
+
+    /// The body of [`ProfileSpace::sample`], given the slot's tag.
+    fn generate(&self, seed: u64, slot: usize, tag: &'static str) -> DeviceProfile {
         let mut rng = SimRng::new(profile_seed(seed, slot));
 
         // Correlated blocks come from a population-weighted donor.
         let donor = &self.seeds[rng.below(self.seeds.len() as u64) as usize];
-        let mut policy = donor.policy.clone();
+        let mut policy = donor.policy;
 
         // Headline dimensions are resampled from their empirical marginals.
         policy.udp_timeout_solitary = sample_timeout(&self.udp_solitary_secs, &mut rng);
@@ -241,27 +254,24 @@ impl ProfileSpace {
             tcp1_mins: policy.tcp_timeout.as_secs_f64() / 60.0,
             max_bindings: policy.max_bindings,
         };
-        DeviceProfile {
-            tag: intern_tag(slot),
-            vendor: "Synthetic",
-            model: "profile-space",
-            firmware: SAMPLER_VERSION,
-            policy,
-            expected,
-        }
+        DeviceProfile { tag, provenance: &SYNTHETIC, policy, expected }
     }
 
     /// Generates the first `n` profiles of the campaign keyed by `seed`
-    /// (slots `0..n`).
+    /// (slots `0..n`). Once the tags of slots `0..n` exist, the returned
+    /// `Vec` is the only allocation.
     pub fn sample_fleet(&self, seed: u64, n: usize) -> Vec<DeviceProfile> {
-        (0..n).map(|slot| self.sample(seed, slot)).collect()
+        let tags = TagArena::lock(n);
+        (0..n).map(|slot| self.generate(seed, slot, tags.tag(slot))).collect()
     }
 }
 
-/// Convenience: fit over Table 1 and sample `n` profiles in one call —
-/// what `fleet_metrics` and the mega-fleet tests use.
+/// Convenience: sample `n` profiles from the Table 1 population model —
+/// what `fleet_metrics` and the mega-fleet tests use. The model is fitted
+/// once per process and shared.
 pub fn synthetic_fleet(seed: u64, n: usize) -> Vec<DeviceProfile> {
-    ProfileSpace::from_table1().sample_fleet(seed, n)
+    static TABLE1: OnceLock<ProfileSpace> = OnceLock::new();
+    TABLE1.get_or_init(ProfileSpace::from_table1).sample_fleet(seed, n)
 }
 
 /// Splitmix64-style finalizer keying one profile's private RNG from the
@@ -283,23 +293,56 @@ fn sample_timeout(dist: &Empirical, rng: &mut SimRng) -> Duration {
     Duration::from_secs_f64(rounded.clamp(dist.min(), dist.max()))
 }
 
-/// Interns the synthetic tag for `slot`.
+/// Synthetic tags per arena block.
+const TAG_BLOCK: usize = 1024;
+
+/// The process-wide synthetic tags (`syn<slot:05>`), stored in leaked
+/// blocks of [`TAG_BLOCK`] fixed-width cells.
 ///
 /// [`DeviceProfile::tag`] is `&'static str` (the 34 real tags are
-/// literals); synthetic tags are leaked once per distinct slot through a
-/// process-wide cache, so repeated fleets — and fleets from different
-/// seeds, which share the `syn<slot>` naming — reuse the same allocation.
-/// The leak is bounded by the largest slot index ever sampled.
-fn intern_tag(slot: usize) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static TAGS: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let tags = TAGS.get_or_init(|| Mutex::new(Vec::new()));
-    let mut tags = tags.lock().expect("tag intern lock");
-    while tags.len() <= slot {
-        let tag: &'static str = Box::leak(format!("syn{:05}", tags.len()).into_boxed_str());
-        tags.push(tag);
+/// literals). A synthetic tag is a slice of its block's text, so it costs
+/// its width in bytes — no per-tag allocation, no per-tag index entry — and
+/// repeated fleets, and fleets from different seeds (which share the
+/// `syn<slot>` naming), hand out the same slices. Blocks are made on first
+/// use, so the leak is bounded by the largest slot ever sampled, rounded up
+/// to a block: a 136-device fleet pays for one block of 8-byte tags.
+struct TagArena {
+    /// Block `b` holds the tags of slots `b * TAG_BLOCK ..`.
+    blocks: MutexGuard<'static, Vec<&'static str>>,
+}
+
+impl TagArena {
+    /// Locks the arena once for a whole fleet, making the blocks that slots
+    /// `0..n` need.
+    fn lock(n: usize) -> TagArena {
+        static BLOCKS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+        let mut blocks = BLOCKS.lock().unwrap_or_else(|e| e.into_inner());
+        while blocks.len() * TAG_BLOCK < n {
+            let first = blocks.len() * TAG_BLOCK;
+            let width = tag_len(first + TAG_BLOCK - 1);
+            let mut text = String::with_capacity(TAG_BLOCK * width);
+            for slot in first..first + TAG_BLOCK {
+                write!(text, "syn{slot:05}").expect("writing to a String");
+                text.extend(std::iter::repeat_n(' ', width - tag_len(slot)));
+            }
+            blocks.push(Box::leak(text.into_boxed_str()));
+        }
+        TagArena { blocks }
     }
-    tags[slot]
+
+    /// The tag of `slot`, which must be below the `n` the arena was locked
+    /// for.
+    fn tag(&self, slot: usize) -> &'static str {
+        let block = self.blocks[slot / TAG_BLOCK];
+        let width = block.len() / TAG_BLOCK;
+        let start = slot % TAG_BLOCK * width;
+        &block[start..start + tag_len(slot)]
+    }
+}
+
+/// Length of `syn<slot:05>`.
+fn tag_len(slot: usize) -> usize {
+    3 + slot.checked_ilog10().map_or(1, |d| d as usize + 1).max(5)
 }
 
 #[cfg(test)]
@@ -411,9 +454,20 @@ mod tests {
         assert_eq!(fleet[0].tag, "syn00000");
         assert_eq!(fleet[299].tag, "syn00299");
         for d in &fleet {
-            assert_eq!(d.vendor, "Synthetic");
-            assert_eq!(d.firmware, SAMPLER_VERSION);
+            assert_eq!(d.provenance.vendor, "Synthetic");
+            assert_eq!(d.provenance.firmware, SAMPLER_VERSION);
         }
+    }
+
+    #[test]
+    fn tags_keep_their_width_across_a_digit_boundary() {
+        // Block 97 holds slots 99 328..100 351: 8-byte and 9-byte tags in
+        // 9-byte cells.
+        let tags = TagArena::lock(100_352);
+        assert_eq!(tags.tag(99_999), "syn99999");
+        assert_eq!(tags.tag(100_000), "syn100000");
+        assert_eq!(tags.tag(100_351), "syn100351");
+        assert_eq!(tags.tag(7), "syn00007");
     }
 
     #[test]

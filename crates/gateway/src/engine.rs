@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use hgw_core::{serialization_time, Duration, Instant};
+use hgw_core::{serialization_time, Cleared, Duration, Instant};
 
 use crate::policy::ForwardingModel;
 
@@ -88,6 +88,15 @@ impl ForwardingEngine {
             model,
             dirs: [DirState::new(), DirState::new()],
             cpu_free_at: Instant::ZERO,
+        }
+    }
+
+    /// Takes over the queue allocations of a retired engine; the queued
+    /// frames themselves are dropped.
+    pub(crate) fn reuse_queues(&mut self, old: ForwardingEngine) {
+        for (dir, old) in self.dirs.iter_mut().zip(old.dirs) {
+            debug_assert!(dir.queue.is_empty(), "reuse_queues on a running engine");
+            dir.queue = old.queue.cleared();
         }
     }
 

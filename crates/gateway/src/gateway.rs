@@ -16,9 +16,10 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 
 use hgw_core::{
-    impl_node_downcast, DropReason, Instant, Node, NodeCtx, PortId, TimerToken, TraceEvent,
+    impl_node_downcast, Cleared, DropReason, Instant, Node, NodeCtx, PortId, TimerToken, TraceEvent,
 };
 use hgw_stack::dhcp::{DhcpClient, DhcpServer, DhcpServerConfig};
+use hgw_stack::host::send_udp;
 use hgw_stack::tcp::{TcpConfig, TcpSocket};
 use hgw_wire::dhcp::{DhcpMessage, CLIENT_PORT, SERVER_PORT};
 use hgw_wire::dns::DnsMessage;
@@ -110,6 +111,10 @@ pub struct Gateway {
     /// Diagnostics.
     pub stats: GatewayStats,
     armed_at: Option<Instant>,
+    /// Scratch for the DHCP client's outgoing messages, and for one
+    /// message's encoding before it is framed.
+    dhcp_out: Vec<DhcpMessage>,
+    dhcp_wire: Vec<u8>,
 }
 
 impl Gateway {
@@ -144,7 +149,28 @@ impl Gateway {
             upstream_conns: Vec::new(),
             stats: GatewayStats::default(),
             armed_at: None,
+            dhcp_out: Vec::new(),
+            dhcp_wire: Vec::new(),
         }
+    }
+
+    /// Turns a retired gateway into `Gateway::new(tag, policy, index)`,
+    /// keeping the capacity of its NAT table, forwarding queues, proxy
+    /// tables and scratch buffers for the next device a fleet worker runs.
+    /// Logical state comes from `new`.
+    pub fn renew(&mut self, tag: &str, policy: GatewayPolicy, index: u8) {
+        let mut old = std::mem::replace(self, Gateway::new("", policy, index));
+        self.tag = old.tag.cleared();
+        self.tag.push_str(tag);
+        old.nat.clear();
+        self.nat = old.nat;
+        self.engine.reuse_queues(old.engine);
+        self.ip_assocs = old.ip_assocs.cleared();
+        self.udp_dns_pending = old.udp_dns_pending.cleared();
+        self.proxy_conns = old.proxy_conns.cleared();
+        self.upstream_conns = old.upstream_conns.cleared();
+        self.dhcp_out = old.dhcp_out.cleared();
+        self.dhcp_wire = old.dhcp_wire.cleared();
     }
 
     /// The gateway's LAN-side address.
@@ -256,7 +282,9 @@ impl Gateway {
 
     // ------------------------------------------------------ LAN ingress --
 
-    fn lan_input(&mut self, ctx: &mut NodeCtx, frame: Vec<u8>) {
+    /// LAN ingress. Only a forwarded frame is taken out of `frame`; one the
+    /// gateway consumes or drops stays behind for the simulator's pool.
+    fn lan_input(&mut self, ctx: &mut NodeCtx, frame: &mut Vec<u8>) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else { return };
         if !ip.verify_checksum() {
             let bytes = frame.len();
@@ -265,10 +293,10 @@ impl Gateway {
         }
         let dst = ip.dst_addr();
         if dst == self.lan_addr || dst == Ipv4Addr::BROADCAST {
-            self.local_input_lan(ctx, &frame);
+            self.local_input_lan(ctx, frame);
             return;
         }
-        self.forward_up(ctx, frame);
+        self.forward_up(ctx, std::mem::take(frame));
     }
 
     fn local_input_lan(&mut self, ctx: &mut NodeCtx, frame: &[u8]) {
@@ -310,13 +338,11 @@ impl Gateway {
     fn lan_dhcp_input(&mut self, ctx: &mut NodeCtx, payload: &[u8]) {
         let Ok(msg) = DhcpMessage::parse(payload) else { return };
         if let Some(reply) = self.dhcp_server.process(&msg) {
-            let dgram = UdpRepr { src_port: SERVER_PORT, dst_port: CLIENT_PORT }.emit_with_payload(
-                self.lan_addr,
-                Ipv4Addr::BROADCAST,
-                &reply.emit(),
-            );
+            let udp = UdpRepr { src_port: SERVER_PORT, dst_port: CLIENT_PORT };
             let repr = Ipv4Repr::new(self.lan_addr, Ipv4Addr::BROADCAST, Protocol::Udp);
-            ctx.send_frame(LAN_PORT, repr.emit_with_payload(&dgram));
+            self.dhcp_wire.clear();
+            reply.emit_onto(&mut self.dhcp_wire);
+            send_udp(ctx, LAN_PORT, repr, (self.lan_addr, udp), &self.dhcp_wire);
         }
     }
 
@@ -595,7 +621,9 @@ impl Gateway {
 
     // ------------------------------------------------------ WAN ingress --
 
-    fn wan_input(&mut self, ctx: &mut NodeCtx, mut frame: Vec<u8>) {
+    /// WAN ingress; like [`Gateway::lan_input`], takes only a forwarded
+    /// frame out of `frame`.
+    fn wan_input(&mut self, ctx: &mut NodeCtx, frame: &mut Vec<u8>) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else { return };
         if !ip.verify_checksum() {
             let bytes = frame.len();
@@ -673,7 +701,7 @@ impl Gateway {
                             udpm.set_dst_port(internal.1);
                             udpm.adjust_checksum(delta);
                         }
-                        self.forward(ctx, FwdDir::Down, frame);
+                        self.forward(ctx, FwdDir::Down, std::mem::take(frame));
                     }
                     InboundVerdict::Filtered => {
                         let bytes = frame.len();
@@ -726,7 +754,7 @@ impl Gateway {
                             tcpm.set_dst_port(internal.1);
                             tcpm.adjust_checksum(delta);
                         }
-                        self.forward(ctx, FwdDir::Down, frame);
+                        self.forward(ctx, FwdDir::Down, std::mem::take(frame));
                     }
                     InboundVerdict::Filtered => {
                         let bytes = frame.len();
@@ -777,7 +805,7 @@ impl Gateway {
                             let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
                             ipm.set_dst_addr(internal);
                             ipm.fill_checksum();
-                            self.forward(ctx, FwdDir::Down, frame);
+                            self.forward(ctx, FwdDir::Down, std::mem::take(frame));
                             return;
                         }
                     }
@@ -1206,14 +1234,13 @@ impl Gateway {
     fn poll(&mut self, ctx: &mut NodeCtx) {
         let now = ctx.now();
         self.dhcp_client.on_timer(now);
-        for msg in self.dhcp_client.dispatch() {
-            let dgram = UdpRepr { src_port: CLIENT_PORT, dst_port: SERVER_PORT }.emit_with_payload(
-                Ipv4Addr::UNSPECIFIED,
-                Ipv4Addr::BROADCAST,
-                &msg.emit(),
-            );
+        self.dhcp_client.dispatch_into(&mut self.dhcp_out);
+        for msg in self.dhcp_out.drain(..) {
+            let udp = UdpRepr { src_port: CLIENT_PORT, dst_port: SERVER_PORT };
             let repr = Ipv4Repr::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, Protocol::Udp);
-            ctx.send_frame(WAN_PORT, repr.emit_with_payload(&dgram));
+            self.dhcp_wire.clear();
+            msg.emit_onto(&mut self.dhcp_wire);
+            send_udp(ctx, WAN_PORT, repr, (Ipv4Addr::UNSPECIFIED, udp), &self.dhcp_wire);
         }
         self.pump_proxy_sockets(ctx);
     }
@@ -1246,7 +1273,6 @@ impl Node for Gateway {
     }
 
     fn handle_frame(&mut self, ctx: &mut NodeCtx, port: PortId, frame: &mut Vec<u8>) {
-        let frame = std::mem::take(frame);
         if port == LAN_PORT {
             self.lan_input(ctx, frame);
         } else {

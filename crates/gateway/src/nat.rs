@@ -25,11 +25,10 @@
 //! and driven side-by-side over randomized policy/flow sequences to pin the
 //! equivalence.
 
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use hgw_core::{
-    BindingLifecycle, DropReason, Duration, FixedMap, FlowId, Instant, LifecycleCounts,
+    BindingLifecycle, Cleared, DropReason, Duration, FixedMap, FlowId, Instant, LifecycleCounts,
     LifecycleEvent, TimerWheel,
 };
 
@@ -236,6 +235,11 @@ pub struct NatTable {
     /// disabled path costs one discriminant check per site. Pure
     /// observability: nothing in the table ever reads this buffer.
     trace: Option<Vec<LifecycleEvent>>,
+    /// Emptied `by_internal`/`by_external` buckets, kept for the next key
+    /// so a binding's two index entries reuse a warm allocation.
+    spare_buckets: Vec<Vec<u64>>,
+    /// Scratch for [`NatTable::sweep`]: the slab positions due.
+    due: Vec<usize>,
 }
 
 /// Base of the sequential allocation range.
@@ -277,7 +281,34 @@ impl NatTable {
             occupancy_skipped: 0,
             lifecycle: LifecycleCounts::ZERO,
             trace: None,
+            spare_buckets: Vec::new(),
+            due: Vec::new(),
         }
+    }
+
+    /// Empties the table back to the state [`NatTable::new`] returns,
+    /// keeping only the capacity of its containers (maps, slab, wheels,
+    /// buckets) for the next device a fleet worker runs. The index maps
+    /// are never iterated, so a cleared map's bucket layout — which
+    /// differs from a fresh map's — is unobservable.
+    pub fn clear(&mut self) {
+        let mut old = std::mem::take(self);
+        let mut spare_buckets = old.spare_buckets;
+        spare_buckets.extend(old.by_internal.drain().map(|(_, ids)| ids));
+        spare_buckets.extend(old.by_external.drain().map(|(_, ids)| ids));
+        spare_buckets.iter_mut().for_each(Vec::clear);
+        self.spare_buckets = spare_buckets;
+        self.by_internal = old.by_internal;
+        self.by_external = old.by_external;
+        self.bindings = old.bindings.cleared();
+        self.ids = old.ids.cleared();
+        self.pos_of = old.pos_of.cleared();
+        self.by_session = old.by_session.cleared();
+        self.quarantine = old.quarantine.cleared();
+        self.occupancy_log = old.occupancy_log.cleared();
+        self.due = old.due.cleared();
+        self.expiry = old.expiry.cleared();
+        self.quarantine_by_time = old.quarantine_by_time.cleared();
     }
 
     /// Turns binding-lifecycle tracing on: from here every mutation site
@@ -395,8 +426,10 @@ impl NatTable {
         let pos = self.bindings.len();
         self.pos_of.insert(id, pos);
         self.by_session.insert((b.proto, b.internal, b.remote), id);
-        self.by_internal.entry((b.proto, b.internal)).or_default().push(id);
-        self.by_external.entry((b.proto, b.external_port)).or_default().push(id);
+        let spares = &mut self.spare_buckets;
+        let mut bucket = || spares.pop().unwrap_or_default();
+        self.by_internal.entry((b.proto, b.internal)).or_insert_with(&mut bucket).push(id);
+        self.by_external.entry((b.proto, b.external_port)).or_insert_with(bucket).push(id);
         let seq = self.next_wheel_seq();
         self.expiry.insert(b.expires_at.as_nanos(), seq, id);
         self.live[proto_idx(b.proto)] += 1;
@@ -420,7 +453,7 @@ impl NatTable {
                 v.swap_remove(i);
             }
             if v.is_empty() {
-                self.by_internal.remove(&ikey);
+                self.spare_buckets.extend(self.by_internal.remove(&ikey));
             }
         }
         let ekey = (b.proto, b.external_port);
@@ -429,7 +462,7 @@ impl NatTable {
                 v.swap_remove(i);
             }
             if v.is_empty() {
-                self.by_external.remove(&ekey);
+                self.spare_buckets.extend(self.by_external.remove(&ekey));
             }
         }
         // The binding's expiry-wheel entry stays behind; `sweep` discards
@@ -460,25 +493,35 @@ impl NatTable {
         // Current slab positions of every binding that is due. Stale wheel
         // entries (the binding was removed, or re-timed so its live
         // deadline differs from the entry's) surface here and are simply
-        // discarded; duplicate deadlines for one binding dedupe through
-        // the position set.
-        let mut due: BTreeSet<usize> = BTreeSet::new();
+        // discarded; duplicate deadlines for one binding dedupe below.
+        let mut due = std::mem::take(&mut self.due);
         while let Some((at, _, id)) = self.expiry.pop_due(now.as_nanos()) {
             if let Some(&pos) = self.pos_of.get(&id) {
                 if self.bindings[pos].expires_at.as_nanos() == at {
-                    due.insert(pos);
+                    due.push(pos);
                 }
             }
         }
+        due.sort_unstable();
+        due.dedup();
         let swept = due.len();
         // Replay the removals exactly as the reference ascending scan with
         // `swap_remove` does: take the smallest due position; the relocated
         // tail element, if itself due, is re-examined at its new position.
-        while let Some(pos) = due.pop_first() {
+        // `due[head..]` is the ascending set still to remove. The tail
+        // position is the largest in the slab, so if due it is the set's
+        // last element; the position it moves to is smaller than every
+        // remaining one, so it goes back in at the head.
+        let mut head = 0;
+        while head < due.len() {
+            let pos = due[head];
+            head += 1;
             let last = self.bindings.len() - 1;
             let b = self.remove_at(pos);
-            if pos != last && due.remove(&last) {
-                due.insert(pos);
+            if pos != last && due.last() == Some(&last) && head < due.len() {
+                due.pop();
+                head -= 1;
+                due[head] = pos;
             }
             self.trace_push(
                 now,
@@ -501,6 +544,8 @@ impl NatTable {
                 BindingLifecycle::Quarantined,
             );
         }
+        due.clear();
+        self.due = due;
         if swept > 0 {
             self.stats.bindings_expired += swept as u64;
             self.record_occupancy(now);

@@ -259,8 +259,10 @@ pub struct DnsProxyPolicy {
     pub tcp: DnsTcpMode,
 }
 
-/// The complete behavioral description of one home gateway.
-#[derive(Debug, Clone)]
+/// The complete behavioral description of one home gateway. Plain data
+/// (`Copy`): a profile's per-service overrides are a `'static` slice, so
+/// copying a policy never touches the heap.
+#[derive(Debug, Clone, Copy)]
 pub struct GatewayPolicy {
     // ---- UDP binding timeouts (UDP-1/2/3/5) ----
     /// Timeout for a binding that has only seen the initial outbound packet.
@@ -270,8 +272,9 @@ pub struct GatewayPolicy {
     /// Timeout once traffic has flowed in both directions repeatedly.
     pub udp_timeout_bidirectional: Duration,
     /// Per-service (destination-port) overrides applied to all three
-    /// timeouts — UDP-5's dl8 uses a shorter timeout for DNS.
-    pub udp_service_overrides: Vec<(u16, Duration)>,
+    /// timeouts — UDP-5's dl8 uses a shorter timeout for DNS. Empty for
+    /// every other Table 1 device.
+    pub udp_service_overrides: &'static [(u16, Duration)],
     /// Binding-timer granularity: expiries are rounded up to a multiple of
     /// this. Coarse timers (we, al, je, ng5) make repeated measurements
     /// spread — the wide inter-quartile ranges of Figure 4.
@@ -330,7 +333,7 @@ impl GatewayPolicy {
             udp_timeout_solitary: Duration::from_secs(30),
             udp_timeout_inbound: Duration::from_secs(180),
             udp_timeout_bidirectional: Duration::from_secs(180),
-            udp_service_overrides: Vec::new(),
+            udp_service_overrides: &[],
             timer_granularity: Duration::from_secs(1),
             tcp_timeout: Duration::from_hours(2),
             max_bindings: 512,
@@ -401,8 +404,9 @@ mod tests {
 
     #[test]
     fn service_override_wins() {
+        const DNS_20S: &[(u16, Duration)] = &[(53, Duration::from_secs(20))];
         let mut p = GatewayPolicy::well_behaved();
-        p.udp_service_overrides.push((53, Duration::from_secs(20)));
+        p.udp_service_overrides = DNS_20S;
         assert_eq!(p.udp_timeout(TrafficPattern::InboundSeen, 53), Duration::from_secs(20));
         assert_eq!(p.udp_timeout(TrafficPattern::OutboundOnly, 53), Duration::from_secs(20));
         assert_eq!(p.udp_timeout(TrafficPattern::InboundSeen, 80), Duration::from_secs(180));

@@ -49,13 +49,16 @@
 //!   ([`FleetRunner::batch_size`], auto-sized from fleet size and worker
 //!   count), so the per-device cost of the shared counter is amortized
 //!   across the whole batch.
-//! * **Per-worker arena reuse** — each worker keeps a
-//!   [`FramePool`] arena; a finished device's warm
-//!   frame buffers seed the next device's simulator
-//!   ([`SimCore::seed_frame_pool`](hgw_core::SimCore::seed_frame_pool)),
-//!   eliminating the per-device allocation ramp-up. Buffer capacity is
-//!   pure allocator state, so results stay bit-identical; only the
-//!   per-device pool hit/miss split becomes schedule-dependent.
+//! * **A recycled testbed shell per worker** — each worker tears a
+//!   finished device's testbed down into a
+//!   [`TestbedShell`] and builds the next device into it
+//!   ([`TestbedBuilder::build_in`](hgw_testbed::TestbedBuilder::build_in)):
+//!   the event wheel and its levels, node and link slabs, link queues, NAT
+//!   maps and wheels, host socket tables and frame-pool buffers keep their
+//!   allocations, so a device costs almost no heap work. Only capacity
+//!   carries over, so results stay bit-identical; only the per-device pool
+//!   hit/miss split becomes schedule-dependent. A shell whose probe
+//!   panicked is dropped, never reused (DESIGN.md §15).
 //! * **Streaming aggregation** — [`FleetRunner::run_fold`] folds each
 //!   device's result and metrics into a per-worker accumulator the moment
 //!   it completes, then merges the accumulators, so fleet-level
@@ -66,10 +69,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hgw_core::telemetry::{flight_dump_dir, Histogram};
-use hgw_core::{DropCounts, FramePool, HistogramSummary, LifecycleCounts, SpanTimeline};
+use hgw_core::{DropCounts, HistogramSummary, LifecycleCounts, SpanTimeline};
 use hgw_devices::DeviceProfile;
 use hgw_gateway::Gateway;
-use hgw_testbed::Testbed;
+use hgw_testbed::{Testbed, TestbedShell};
 
 /// Builds the testbed for one device (stable per-device slot index and a
 /// seed derived from the experiment seed and the device tag).
@@ -78,7 +81,7 @@ use hgw_testbed::Testbed;
 /// [`TestbedBuilder::campaign_slot`](hgw_testbed::TestbedBuilder::campaign_slot),
 /// where the derivation rules are documented.
 pub fn testbed_for(device: &DeviceProfile, slot: usize, seed: u64) -> Testbed {
-    Testbed::builder(device.tag, device.policy.clone()).campaign_slot(slot, seed).build()
+    Testbed::builder(device.tag, device.policy).campaign_slot(slot, seed).build()
 }
 
 /// How many workers a [`FleetRunner`] campaign uses.
@@ -389,9 +392,9 @@ pub struct WorkerStats {
     pub busy_ms: f64,
     /// Work-queue batches this worker claimed.
     pub batches: usize,
-    /// Devices whose simulator was seeded with warm frame buffers recycled
-    /// from this worker's previous device (the arena-reuse hit count; the
-    /// first device of every worker always starts cold).
+    /// Devices built into the recycled testbed shell of this worker's
+    /// previous device (the first device of every worker, and the one
+    /// after a panicked device, start from an empty shell).
     pub pool_reused: u64,
 }
 
@@ -637,8 +640,8 @@ impl<'d> FleetRunner<'d> {
     /// [`FleetRunner::run_fold`].
     ///
     /// Each worker claims batches of slots from a shared counter, runs
-    /// every claimed device through [`FleetRunner::run_device`] on its own
-    /// frame-pool arena, and hands `(slot, worker, outcome)` to `sink`
+    /// every claimed device through [`FleetRunner::run_device`] in its own
+    /// recycled testbed shell, and hands `(slot, worker, outcome)` to `sink`
     /// together with its private state, which `init` builds just before
     /// the worker's first device. The calling thread is worker 0; only
     /// workers 1.. are spawned, so a single worker runs without spawning.
@@ -655,7 +658,7 @@ impl<'d> FleetRunner<'d> {
         let batch = self.resolve_batch(workers);
         let next = AtomicUsize::new(0);
         let work = |worker: usize| -> (Option<W>, WorkerStats) {
-            let mut arena = FramePool::new();
+            let mut shell = None;
             let mut state = None;
             let mut ws =
                 WorkerStats { worker, devices_run: 0, busy_ms: 0.0, batches: 0, pool_reused: 0 };
@@ -669,8 +672,8 @@ impl<'d> FleetRunner<'d> {
                 let t0 = std::time::Instant::now();
                 for slot in lo..hi {
                     let state = state.get_or_insert_with(&init);
-                    ws.pool_reused += (arena.retained() > 0) as u64;
-                    let out = self.run_device(&self.devices[slot], slot, &probe, &mut arena);
+                    ws.pool_reused += shell.is_some() as u64;
+                    let out = self.run_device(&self.devices[slot], slot, &probe, &mut shell);
                     sink(state, slot, worker, out);
                     ws.devices_run += 1;
                 }
@@ -706,18 +709,22 @@ impl<'d> FleetRunner<'d> {
         (states, scheduling)
     }
 
-    /// Builds one device's testbed, runs the probe with panic isolation,
-    /// and harvests the counters and telemetry.
+    /// Builds one device's testbed into the worker's `shell` (an empty one
+    /// when `None`), runs the probe with panic isolation, harvests the
+    /// counters and telemetry, and leaves the torn-down testbed in `shell`
+    /// for the next device.
     ///
     /// Bring-up and probe run under separate `catch_unwind`s: a probe panic
     /// leaves the testbed alive, so its flight recorder can be dumped
-    /// alongside the [`DeviceFailure`] before the campaign moves on.
+    /// alongside the [`DeviceFailure`] before the campaign moves on. A
+    /// testbed that panicked, in bring-up or in the probe, is dropped: its
+    /// shell is never reused.
     fn run_device<R>(
         &self,
         device: &DeviceProfile,
         slot: usize,
         probe: &dyn Fn(&mut Testbed, &DeviceProfile) -> R,
-        arena: &mut FramePool,
+        shell: &mut Option<TestbedShell>,
     ) -> DeviceOutcome<R> {
         let failure = |payload| DeviceFailure {
             tag: device.tag.to_string(),
@@ -725,11 +732,12 @@ impl<'d> FleetRunner<'d> {
             panic: panic_message(payload),
         };
         let start = std::time::Instant::now();
+        let recycled = shell.take().unwrap_or_default();
         let brought_up = catch_unwind(AssertUnwindSafe(|| {
-            let mut tb = Testbed::builder(device.tag, device.policy.clone())
+            let mut tb = Testbed::builder(device.tag, device.policy)
                 .campaign_slot(slot, self.seed)
                 .hosts(self.hosts)
-                .build();
+                .build_in(recycled);
             if self.telemetry {
                 tb.sim.enable_telemetry();
             }
@@ -742,10 +750,7 @@ impl<'d> FleetRunner<'d> {
         };
         // The probe's own counters start here, after bring-up.
         let baseline = ProbeCounters::read(&tb);
-        // Warm the fresh simulator with the worker's recycled buffers.
-        // Capacity-only state: never affects results (see the module docs).
-        tb.sim.seed_frame_pool(arena);
-        let out = match catch_unwind(AssertUnwindSafe(|| probe(&mut tb, device))) {
+        match catch_unwind(AssertUnwindSafe(|| probe(&mut tb, device))) {
             Ok(result) => {
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 let mut metrics = harvest_metrics(&tb, &baseline, wall_ms);
@@ -756,6 +761,7 @@ impl<'d> FleetRunner<'d> {
                     metrics.delay_nat_processing = Some(d.nat_processing);
                     std::mem::take(&mut t.spans)
                 });
+                *shell = Some(tb.into_shell());
                 Ok((result, metrics, spans))
             }
             Err(payload) => {
@@ -763,10 +769,7 @@ impl<'d> FleetRunner<'d> {
                 self.dump_flight_recorder(&mut tb, &failure);
                 Err(failure)
             }
-        };
-        // Reclaim the warm working set for the worker's next device.
-        tb.sim.drain_frame_pool(arena);
-        out
+        }
     }
 
     /// Best-effort crash-scene dump for a panicked probe: writes the

@@ -518,8 +518,10 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 /// busy client — but is built for `Testbed::builder(..).hosts(m)`.
 pub fn measure_household(tb: &mut Testbed, cfg: &WorkloadConfig) -> HouseholdReport {
     let hosts = tb.hosts.len();
-    let span =
-        tb.span("household").arg(format!("{} hosts x {} flows", hosts, cfg.flows_per_host)).begin();
+    let span = tb
+        .span("household")
+        .arg(format_args!("{} hosts x {} flows", hosts, cfg.flows_per_host))
+        .begin();
     let start = tb.now();
 
     tb.with_host(HostId::Server, |h, _| {

@@ -47,7 +47,7 @@ pub fn measure_max_bindings(tb: &mut Testbed, batch: usize, ceiling: usize) -> M
     let result = loop {
         // Open one batch.
         let batch_span =
-            tb.span("tcp4-ramp").arg(format!("open={} target=+{}", open.len(), batch)).begin();
+            tb.span("tcp4-ramp").arg(format_args!("open={} target=+{}", open.len(), batch)).begin();
         let mut fresh: Vec<TcpHandle> = Vec::new();
         for _ in 0..batch {
             if open.len() + fresh.len() >= ceiling {

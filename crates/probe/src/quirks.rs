@@ -143,7 +143,7 @@ mod tests {
         // honors Record Route.
         for (tag, dec, rr) in [("dl9", false, false), ("owrt", true, true), ("al", true, false)] {
             let d = hgw_devices::device(tag).unwrap();
-            let mut tb = Testbed::new(d.tag, d.policy.clone(), 4, 9);
+            let mut tb = Testbed::new(d.tag, d.policy, 4, 9);
             let q = probe_ip_quirks(&mut tb);
             assert_eq!(q.decrements_ttl, dec, "{tag} ttl");
             assert_eq!(q.honors_record_route, rr, "{tag} record route");

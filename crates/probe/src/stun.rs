@@ -91,7 +91,7 @@ mod tests {
         // server, plain Binding works through every device — it is ordinary
         // outbound UDP.
         for (i, d) in hgw_devices::all_devices().into_iter().enumerate() {
-            let mut tb = Testbed::new(d.tag, d.policy.clone(), (i + 1) as u8, 9);
+            let mut tb = Testbed::new(d.tag, d.policy, (i + 1) as u8, 9);
             assert!(stun_binding(&mut tb, i as u64).is_some(), "{} failed STUN", d.tag);
         }
     }

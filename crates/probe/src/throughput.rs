@@ -158,7 +158,7 @@ pub fn run_transfer(tb: &mut Testbed, port: u16, dir: Direction, bytes: u64) -> 
         Direction::Upload => "tcp2-upload",
         Direction::Download => "tcp2-download",
     };
-    let span = tb.span(span_name).arg(format!("{bytes} B")).begin();
+    let span = tb.span(span_name).arg(format_args!("{bytes} B")).begin();
     let start = tb.now().as_secs_f64();
     let flow = setup_flow(tb, port, dir, bytes);
     let budget = Duration::from_secs(60 * (bytes * 8 / 100_000_000).max(1) + 30);
@@ -181,7 +181,7 @@ pub fn run_battery(tb: &mut Testbed, bytes: u64) -> ThroughputReport {
     let download = run_transfer(tb, 5002, Direction::Download, bytes);
 
     // Bidirectional: two flows at once.
-    let span = tb.span("tcp2-bidir").arg(format!("2 x {bytes} B")).begin();
+    let span = tb.span("tcp2-bidir").arg(format_args!("2 x {bytes} B")).begin();
     let start = tb.now().as_secs_f64();
     let up_flow = setup_flow(tb, 5003, Direction::Upload, bytes);
     let down_flow = setup_flow(tb, 5004, Direction::Download, bytes);

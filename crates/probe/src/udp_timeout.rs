@@ -70,7 +70,7 @@ fn close_flow(tb: &mut Testbed, cli: UdpHandle, srv: UdpHandle) {
 /// One UDP-1 trial: create a binding, sleep, have the server respond;
 /// returns true if the binding was still alive.
 fn udp1_trial(tb: &mut Testbed, server_port: u16, sleep: Duration) -> bool {
-    let span = tb.span("udp1-trial").arg(format!("sleep={}s", sleep.as_secs())).begin();
+    let span = tb.span("udp1-trial").arg(format_args!("sleep={}s", sleep.as_secs())).begin();
     let (cli, srv, external) = open_flow(tb, server_port);
     tb.run_for(sleep);
     tb.with_host(HostId::Server, |h, ctx| h.udp_send(ctx, srv, external, PONG));
@@ -250,9 +250,10 @@ mod tests {
 
     #[test]
     fn service_override_visible_on_that_port_only() {
+        const DNS_40S: &[(u16, Duration)] = &[(53, Duration::from_secs(40))];
         let mut policy = GatewayPolicy::well_behaved();
         policy.udp_timeout_inbound = Duration::from_secs(120);
-        policy.udp_service_overrides.push((53, Duration::from_secs(40)));
+        policy.udp_service_overrides = DNS_40S;
         let mut tb = Testbed::new("probe-udp5", policy, 2, 7);
         let dns = measure_refresh(&mut tb, 53, UdpScenario::InboundRefresh, Duration::from_secs(2));
         let http =

@@ -14,8 +14,8 @@
 //! remain queued, a fully drained front chunk becomes the next tail chunk,
 //! so a steady bulk stream reuses the same few chunks. A fresh chunk is
 //! sized to its first append (a 1-byte message takes 64 bytes, not a full
-//! chunk) and grows in place up to [`CHUNK`]. A queue that drains to empty
-//! keeps no storage at all.
+//! chunk) and grows in place up to a full 4 KiB chunk. A queue that drains
+//! to empty keeps no storage at all.
 
 use std::collections::VecDeque;
 

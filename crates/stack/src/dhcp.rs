@@ -264,8 +264,7 @@ impl DhcpClient {
             (DhcpClientState::Selecting, DhcpMessageType::Offer) => {
                 self.offer = Some(msg.clone());
                 self.state = DhcpClientState::Requesting;
-                let offer = msg.clone();
-                self.push_request(&offer);
+                self.push_request(msg);
                 self.rtx_deadline = Some(now + RTX_INTERVAL);
             }
             (DhcpClientState::Requesting, DhcpMessageType::Ack) => {
@@ -302,7 +301,15 @@ impl DhcpClient {
     /// Drains messages ready for transmission (sent to 255.255.255.255
     /// until bound).
     pub fn dispatch(&mut self) -> Vec<DhcpMessage> {
-        std::mem::take(&mut self.outbox)
+        let mut out = Vec::new();
+        self.dispatch_into(&mut out);
+        out
+    }
+
+    /// [`DhcpClient::dispatch`] into a reused buffer: appends the ready
+    /// messages to `out`, keeping both buffers' allocations.
+    pub fn dispatch_into(&mut self, out: &mut Vec<DhcpMessage>) {
+        out.append(&mut self.outbox);
     }
 }
 

@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use hgw_core::{impl_node_downcast, FixedMap, Instant, Node, NodeCtx, PortId, TimerToken};
+use hgw_core::{impl_node_downcast, Cleared, FixedMap, Instant, Node, NodeCtx, PortId, TimerToken};
 use hgw_wire::dccp::DccpRepr;
 use hgw_wire::dhcp::{DhcpMessage, CLIENT_PORT, SERVER_PORT};
 use hgw_wire::dns::DnsMessage;
@@ -126,6 +126,20 @@ struct TcpTable {
 fn tuple_key(local: SocketAddrV4, remote: SocketAddrV4) -> (u64, u32) {
     let ports = u64::from(local.port()) << 16 | u64::from(remote.port());
     (u64::from(u32::from(*local.ip())) << 32 | ports, u32::from(*remote.ip()))
+}
+
+impl Cleared for TcpTable {
+    fn cleared(self) -> TcpTable {
+        TcpTable {
+            sockets: self.sockets.cleared(),
+            meta: self.meta.cleared(),
+            by_tuple: self.by_tuple.cleared(),
+            dirty: self.dirty.cleared(),
+            deadlines: self.deadlines.cleared(),
+            free: self.free.cleared(),
+            visits: self.visits.cleared(),
+        }
+    }
 }
 
 impl TcpTable {
@@ -265,6 +279,12 @@ pub struct Host {
     /// Scratch for collecting dispatched TCP segments each poll; kept on
     /// the host so the bulk-transfer hot path allocates nothing per poll.
     tcp_segs: Vec<TcpSegment>,
+    /// Receive queues of closed UDP sockets, handed to the next bind.
+    spare_recv: Vec<Vec<(SocketAddrV4, Vec<u8>)>>,
+    /// Scratch for the DHCP client's outgoing messages, and for one
+    /// message's encoding before it is framed.
+    dhcp_out: Vec<DhcpMessage>,
+    dhcp_wire: Vec<u8>,
 }
 
 impl Host {
@@ -302,7 +322,45 @@ impl Host {
             forwarding: false,
             armed_at: None,
             tcp_segs: Vec::new(),
+            spare_recv: Vec::new(),
+            dhcp_out: Vec::new(),
+            dhcp_wire: Vec::new(),
         }
+    }
+
+    /// Turns a retired host into `Host::new(name)`, keeping the capacity
+    /// of its socket slabs, indices, queues and scratch buffers for the
+    /// next device a fleet worker runs. Logical state comes from `new`;
+    /// open sockets, services and leases are dropped.
+    pub fn renew(&mut self, name: &str) {
+        let mut old = std::mem::replace(self, Host::new(""));
+        self.name = old.name.cleared();
+        self.name.push_str(name);
+        self.ifaces = old.ifaces.cleared();
+        self.aliases = old.aliases.cleared();
+        self.routes = old.routes.cleared();
+        old.spare_recv.extend(old.udp_sockets.drain(..).flatten().map(|s| s.recv.cleared()));
+        self.udp_sockets = old.udp_sockets;
+        self.spare_recv = old.spare_recv;
+        self.port_refs = old.port_refs.cleared();
+        self.tcp_table = old.tcp_table.cleared();
+        self.tcp_apps = old.tcp_apps.cleared();
+        self.tcp_listeners = old.tcp_listeners.cleared();
+        self.accepted = old.accepted.cleared();
+        self.icmp_events = old.icmp_events.cleared();
+        self.echo_replies = old.echo_replies.cleared();
+        self.sctp_endpoints = old.sctp_endpoints.cleared();
+        self.sctp_assocs = old.sctp_assocs.cleared();
+        self.sctp_listen_ports = old.sctp_listen_ports.cleared();
+        self.next_sctp_remote = old.next_sctp_remote.cleared();
+        self.dccp_endpoints = old.dccp_endpoints.cleared();
+        self.dccp_conns = old.dccp_conns.cleared();
+        self.dccp_listen_ports = old.dccp_listen_ports.cleared();
+        self.next_dccp_remote = old.next_dccp_remote.cleared();
+        self.dhcp_servers = old.dhcp_servers.cleared();
+        self.tcp_segs = old.tcp_segs.cleared();
+        self.dhcp_out = old.dhcp_out.cleared();
+        self.dhcp_wire = old.dhcp_wire.cleared();
     }
 
     // ---------------- interfaces & routing ----------------
@@ -425,18 +483,6 @@ impl Host {
         }
     }
 
-    /// Transmits an IP payload on an explicit port (broadcasts, DHCP).
-    fn send_ip_on(&mut self, ctx: &mut NodeCtx, port: PortId, mut repr: Ipv4Repr, payload: &[u8]) {
-        if repr.src_addr == Ipv4Addr::UNSPECIFIED {
-            if let Some(addr) = self.iface_addr(port) {
-                repr.src_addr = addr;
-            }
-        }
-        let buf = ctx.alloc_frame(repr.header_len() + payload.len());
-        let frame = repr.emit_with_payload_into(payload, buf);
-        ctx.send_frame(port, frame);
-    }
-
     /// Sends a fully formed IP packet, routing by its destination (used by
     /// the ICMP "hijack" prober to inject crafted packets).
     pub fn raw_send(&mut self, ctx: &mut NodeCtx, packet: Vec<u8>) {
@@ -477,24 +523,20 @@ impl Host {
 
     /// Binds a UDP socket on `port` (any local address).
     pub fn udp_bind(&mut self, port: u16) -> UdpHandle {
-        self.udp_insert(UdpSocketState { port, bound_addr: None, recv: Vec::new(), echo: false })
+        self.udp_insert(port, None)
     }
 
     /// Binds a UDP socket to a specific local address (an interface address
     /// or an alias) and port.
     pub fn udp_bind_at(&mut self, addr: Ipv4Addr, port: u16) -> UdpHandle {
-        self.udp_insert(UdpSocketState {
-            port,
-            bound_addr: Some(addr),
-            recv: Vec::new(),
-            echo: false,
-        })
+        self.udp_insert(port, Some(addr))
     }
 
-    fn udp_insert(&mut self, state: UdpSocketState) -> UdpHandle {
-        self.port_ref(state.port);
+    fn udp_insert(&mut self, port: u16, bound_addr: Option<Ipv4Addr>) -> UdpHandle {
+        self.port_ref(port);
+        let recv = self.spare_recv.pop().unwrap_or_default();
         let idx = free_slot(&mut self.udp_sockets);
-        self.udp_sockets[idx] = Some(state);
+        self.udp_sockets[idx] = Some(UdpSocketState { port, bound_addr, recv, echo: false });
         UdpHandle(idx)
     }
 
@@ -521,13 +563,12 @@ impl Host {
         // The pseudo-header needs the source address: resolve the route now.
         let Some(port) = self.routes.lookup(*dst.ip()) else { return };
         let Some(src_addr) = bound.or_else(|| self.iface_addr(port)) else { return };
-        let datagram = UdpRepr { src_port, dst_port: dst.port() }.emit_with_payload(
-            src_addr,
-            *dst.ip(),
-            payload,
-        );
-        let repr = Ipv4Repr::new(src_addr, *dst.ip(), Protocol::Udp);
-        self.send_ip_on(ctx, port, repr, &datagram);
+        let udp = UdpRepr { src_port, dst_port: dst.port() };
+        let mut repr = Ipv4Repr::new(src_addr, *dst.ip(), Protocol::Udp);
+        if src_addr == Ipv4Addr::UNSPECIFIED {
+            repr.src_addr = self.iface_addr(port).unwrap_or(src_addr);
+        }
+        send_udp(ctx, port, repr, (src_addr, udp), payload);
         self.reschedule(ctx);
     }
 
@@ -545,6 +586,7 @@ impl Host {
     pub fn udp_close(&mut self, h: UdpHandle) {
         if let Some(s) = self.udp_sockets[h.0].take() {
             self.port_unref(s.port);
+            self.spare_recv.push(s.recv.cleared());
         }
     }
 
@@ -815,20 +857,19 @@ impl Host {
         let now = ctx.now();
 
         // DHCP client.
-        if self.dhcp_client.is_some() {
-            let (port, msgs, bound) = {
-                let (port, client) = self.dhcp_client.as_mut().unwrap();
-                client.on_timer(now);
-                (*port, client.dispatch(), client.lease.is_some())
-            };
-            let newly_bound = bound && self.iface_addr(port).is_none();
-            for msg in msgs {
-                let payload = UdpRepr { src_port: CLIENT_PORT, dst_port: SERVER_PORT }
-                    .emit_with_payload(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, &msg.emit());
-                let mut repr =
-                    Ipv4Repr::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, Protocol::Udp);
-                repr.src_addr = Ipv4Addr::UNSPECIFIED;
-                ctx.send_frame(port, repr.emit_with_payload(&payload));
+        if let Some((port, client)) = &mut self.dhcp_client {
+            let port = *port;
+            client.on_timer(now);
+            let bound = client.lease.is_some();
+            let configured = self.ifaces.get(port.0).and_then(|i| i.as_ref());
+            let newly_bound = bound && !configured.is_some_and(|i| i.config.is_configured());
+            client.dispatch_into(&mut self.dhcp_out);
+            for msg in self.dhcp_out.drain(..) {
+                let udp = UdpRepr { src_port: CLIENT_PORT, dst_port: SERVER_PORT };
+                let repr = Ipv4Repr::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, Protocol::Udp);
+                self.dhcp_wire.clear();
+                msg.emit_onto(&mut self.dhcp_wire);
+                send_udp(ctx, port, repr, (Ipv4Addr::UNSPECIFIED, udp), &self.dhcp_wire);
             }
             if newly_bound {
                 let lease = self.dhcp_client.as_ref().unwrap().1.lease.clone().unwrap();
@@ -972,19 +1013,20 @@ impl Host {
         }
         let src = SocketAddrV4::new(ip.src_addr(), udp.src_port());
         let dst_port = udp.dst_port();
-        let data = udp.payload().to_vec();
+        let data = udp.payload();
 
         // DHCP server.
         if dst_port == SERVER_PORT && self.dhcp_servers.iter().any(|(p, _)| *p == port) {
-            if let Ok(msg) = DhcpMessage::parse(&data) {
+            if let Ok(msg) = DhcpMessage::parse(data) {
                 let server = self.dhcp_servers.iter_mut().find(|(p, _)| *p == port).map(|(_, s)| s);
                 let reply = server.and_then(|s| s.process(&msg));
                 if let Some(reply) = reply {
                     let src_addr = self.iface_addr(port).unwrap_or(Ipv4Addr::UNSPECIFIED);
-                    let dgram = UdpRepr { src_port: SERVER_PORT, dst_port: CLIENT_PORT }
-                        .emit_with_payload(src_addr, Ipv4Addr::BROADCAST, &reply.emit());
+                    let udp = UdpRepr { src_port: SERVER_PORT, dst_port: CLIENT_PORT };
                     let repr = Ipv4Repr::new(src_addr, Ipv4Addr::BROADCAST, Protocol::Udp);
-                    self.send_ip_on(ctx, port, repr, &dgram);
+                    self.dhcp_wire.clear();
+                    reply.emit_onto(&mut self.dhcp_wire);
+                    send_udp(ctx, port, repr, (src_addr, udp), &self.dhcp_wire);
                 }
             }
             return;
@@ -993,7 +1035,7 @@ impl Host {
         if dst_port == CLIENT_PORT {
             if let Some((cport, client)) = &mut self.dhcp_client {
                 if *cport == port {
-                    if let Ok(msg) = DhcpMessage::parse(&data) {
+                    if let Ok(msg) = DhcpMessage::parse(data) {
                         client.process(ctx.now(), &msg);
                         self.poll(ctx);
                     }
@@ -1002,19 +1044,15 @@ impl Host {
             }
         }
         // DNS server over UDP.
-        if dst_port == 53 && self.dns_zone.is_some() {
-            if let Ok(query) = DnsMessage::parse(&data) {
+        if let (53, Some(zone)) = (dst_port, &self.dns_zone) {
+            if let Ok(query) = DnsMessage::parse(data) {
                 if !query.is_response {
-                    let resp = self.dns_zone.as_ref().unwrap().answer(&query);
+                    let resp = zone.answer(&query);
                     let Some(eport) = self.routes.lookup(*src.ip()) else { return };
                     let Some(src_addr) = self.iface_addr(eport) else { return };
-                    let dgram = UdpRepr { src_port: 53, dst_port: src.port() }.emit_with_payload(
-                        src_addr,
-                        *src.ip(),
-                        &resp.emit(),
-                    );
+                    let udp = UdpRepr { src_port: 53, dst_port: src.port() };
                     let repr = Ipv4Repr::new(src_addr, *src.ip(), Protocol::Udp);
-                    self.send_ip(ctx, repr, &dgram);
+                    send_udp(ctx, eport, repr, (src_addr, udp), &resp.emit());
                     return;
                 }
             }
@@ -1039,9 +1077,9 @@ impl Host {
         if let Some(idx) = idx {
             let s = self.udp_sockets[idx].as_mut().unwrap();
             let echo = s.echo;
-            s.recv.push((src, data.clone()));
+            s.recv.push((src, data.to_vec()));
             if echo {
-                self.udp_send(ctx, UdpHandle(idx), src, &data);
+                self.udp_send(ctx, UdpHandle(idx), src, data);
             }
             return;
         }
@@ -1361,6 +1399,23 @@ impl Host {
 }
 
 /// Finds or creates a free slot in a socket table.
+/// Builds an IP frame carrying one UDP datagram in a single pooled buffer
+/// and sends it on `port`. `pseudo_src` is the source address the UDP
+/// checksum covers, which the IP header's may differ from.
+pub fn send_udp(
+    ctx: &mut NodeCtx,
+    port: PortId,
+    repr: Ipv4Repr,
+    (pseudo_src, udp): (Ipv4Addr, UdpRepr),
+    payload: &[u8],
+) {
+    let udp_len = 8 + payload.len();
+    let mut frame = ctx.alloc_frame(repr.header_len() + udp_len);
+    repr.emit_header_into(udp_len, &mut frame);
+    udp.emit_onto(pseudo_src, repr.dst_addr, payload, &mut frame);
+    ctx.send_frame(port, frame);
+}
+
 fn free_slot<T>(v: &mut Vec<Option<T>>) -> usize {
     if let Some(i) = v.iter().position(|s| s.is_none()) {
         i

@@ -6,7 +6,7 @@
 
 use std::net::Ipv4Addr;
 
-use hgw_core::PortId;
+use hgw_core::{Cleared, PortId};
 
 /// Converts a prefix length to a netmask.
 pub fn prefix_to_mask(prefix: u8) -> u32 {
@@ -74,6 +74,12 @@ pub struct Route {
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     routes: Vec<Route>,
+}
+
+impl Cleared for RoutingTable {
+    fn cleared(self) -> RoutingTable {
+        RoutingTable { routes: self.routes.cleared() }
+    }
 }
 
 impl RoutingTable {

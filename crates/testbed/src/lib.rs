@@ -44,12 +44,15 @@ pub mod topology;
 
 pub use dual::{DualNatTestbed, Side};
 pub use kind::NodeKind;
-pub use topology::{HostId, LinkHandle, NodeHandle, Span, Topology, TopologyBuilder, TopologySim};
+pub use topology::{
+    HostId, LinkHandle, NodeHandle, Span, Topology, TopologyBuilder, TopologyShell, TopologySim,
+};
 
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
 
-use hgw_core::{LinkConfig, LinkId, NodeCtx, NodeId, PortId};
+use hgw_core::{Cleared, LinkConfig, LinkId, NodeCtx, NodeId, PortId};
 use hgw_gateway::{Gateway, GatewayPolicy, LAN_PORT, WAN_PORT};
 use hgw_stack::dhcp::DhcpServerConfig;
 use hgw_stack::dns::DnsZone;
@@ -126,8 +129,8 @@ impl DerefMut for Testbed {
 /// assert_eq!(tb.index, 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct TestbedBuilder {
-    tag: String,
+pub struct TestbedBuilder<'a> {
+    tag: &'a str,
     policy: GatewayPolicy,
     index: u8,
     seed: u64,
@@ -135,23 +138,23 @@ pub struct TestbedBuilder {
     boxed_oracle: bool,
 }
 
-impl TestbedBuilder {
+impl<'a> TestbedBuilder<'a> {
     /// Forces every node into the boxed dynamic-dispatch representation
     /// (see [`TopologyBuilder::boxed_oracle`]); defaults to the
     /// `boxed-oracle` cargo feature. Behavior is bit-identical either way —
     /// this exists for differential oracle runs.
-    pub fn boxed_oracle(mut self, enabled: bool) -> TestbedBuilder {
+    pub fn boxed_oracle(mut self, enabled: bool) -> TestbedBuilder<'a> {
         self.boxed_oracle = enabled;
         self
     }
     /// Sets the testbed slot index (selects the `10.0.<index>.0/24` plan).
-    pub fn index(mut self, index: u8) -> TestbedBuilder {
+    pub fn index(mut self, index: u8) -> TestbedBuilder<'a> {
         self.index = index;
         self
     }
 
     /// Sets the simulator seed directly.
-    pub fn seed(mut self, seed: u64) -> TestbedBuilder {
+    pub fn seed(mut self, seed: u64) -> TestbedBuilder<'a> {
         self.seed = seed;
         self
     }
@@ -162,7 +165,7 @@ impl TestbedBuilder {
     /// every host runs DHCP with auto-renewal; with `n == 1` the topology
     /// (and its event sequence) is exactly the seed testbed's. Clamped
     /// range: 1–64 (the gateway's DHCP pool holds 100 addresses).
-    pub fn hosts(mut self, n: usize) -> TestbedBuilder {
+    pub fn hosts(mut self, n: usize) -> TestbedBuilder<'a> {
         assert!((1..=64).contains(&n), "TestbedBuilder::hosts: n must be in 1..=64, got {n}");
         self.hosts = n;
         self
@@ -176,8 +179,8 @@ impl TestbedBuilder {
     /// `10.0.0.0/24` default plan at index 0. Identical to `slot + 1` for
     /// the 34-device Table 1 fleet. Testbeds are isolated simulators, so
     /// two far-apart slots sharing an address plan never interact.
-    pub fn campaign_slot(self, slot: usize, campaign_seed: u64) -> TestbedBuilder {
-        let tag_seed = campaign_seed ^ Self::tag_hash(&self.tag);
+    pub fn campaign_slot(self, slot: usize, campaign_seed: u64) -> TestbedBuilder<'a> {
+        let tag_seed = campaign_seed ^ Self::tag_hash(self.tag);
         self.index((slot % 255 + 1) as u8).seed(tag_seed)
     }
 
@@ -186,17 +189,28 @@ impl TestbedBuilder {
         tag.bytes().fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64))
     }
 
-    /// Builds and boots the testbed (see [`Testbed::new`] for panics).
+    /// Builds and boots the testbed (see [`Testbed::new`] for panics): a
+    /// build into an empty [`TestbedShell`].
     pub fn build(self) -> Testbed {
-        Testbed::assemble(
-            &self.tag,
-            self.policy,
-            self.index,
-            self.seed,
-            self.hosts,
-            self.boxed_oracle,
-        )
+        self.build_in(TestbedShell::default())
     }
+
+    /// Builds and boots the testbed into `shell`, the remains of a torn-down
+    /// testbed ([`Testbed::into_shell`]). The testbed, and every event,
+    /// counter and result it produces, is the one [`TestbedBuilder::build`]
+    /// returns; only allocations are inherited.
+    pub fn build_in(self, shell: TestbedShell) -> Testbed {
+        Testbed::assemble(self, shell)
+    }
+}
+
+/// What a torn-down [`Testbed`] leaves for the next one to be built into
+/// with [`TestbedBuilder::build_in`]: its [`TopologyShell`] plus the
+/// testbed's own host list. Capacity only, no state — see DESIGN.md §15.
+#[derive(Default)]
+pub struct TestbedShell {
+    topo: TopologyShell,
+    hosts: Vec<NodeId>,
 }
 
 impl Testbed {
@@ -210,14 +224,14 @@ impl Testbed {
         // Kept as the positional primitive; prefer [`Testbed::builder`]
         // for named parameters, campaign slot/seed derivation, and
         // household sizing.
-        Testbed::assemble(tag, policy, index, seed, 1, cfg!(feature = "boxed-oracle"))
+        Testbed::builder(tag, policy).index(index).seed(seed).build()
     }
 
     /// Starts a [`TestbedBuilder`] for `tag` (slot index 1, seed 0, one
     /// LAN host until overridden).
-    pub fn builder(tag: &str, policy: GatewayPolicy) -> TestbedBuilder {
+    pub fn builder(tag: &str, policy: GatewayPolicy) -> TestbedBuilder<'_> {
         TestbedBuilder {
-            tag: tag.to_string(),
+            tag,
             policy,
             index: 1,
             seed: 0,
@@ -232,16 +246,10 @@ impl Testbed {
     /// reproducibility contract — for M = 1 it matches the seed repo's
     /// hand-rolled testbed exactly (client, gateway, server), so per-node
     /// RNG streams and event sequences are bit-identical.
-    fn assemble(
-        tag: &str,
-        policy: GatewayPolicy,
-        index: u8,
-        seed: u64,
-        m: usize,
-        boxed_oracle: bool,
-    ) -> Testbed {
+    fn assemble(spec: TestbedBuilder, shell: TestbedShell) -> Testbed {
+        let TestbedBuilder { tag, policy, index, seed, hosts: m, boxed_oracle } = spec;
         assert!((1..=64).contains(&m), "Testbed: host count must be in 1..=64, got {m}");
-        let mut b = TopologyBuilder::new(seed).boxed_oracle(boxed_oracle);
+        let mut b = TopologyBuilder::in_shell(shell.topo, seed).boxed_oracle(boxed_oracle);
         let server_addr = Ipv4Addr::new(10, 0, index, 1);
         let ether = LinkConfig::ethernet_100m;
 
@@ -249,9 +257,9 @@ impl Testbed {
         // the seed client's name and chaddr.
         let hosts: Vec<NodeHandle> = (0..m)
             .map(|i| {
-                let name =
-                    if i == 0 { "test-client".to_string() } else { format!("test-client-{i}") };
-                let mut host = Host::new(&name);
+                let name: Cow<str> =
+                    if i == 0 { "test-client".into() } else { format!("test-client-{i}").into() };
+                let mut host = b.new_host(&name);
                 host.enable_dhcp_client(PortId(0), [0x02, 0xC1, 0x1E, 0x47, i as u8, index]);
                 if m > 1 {
                     // Households run long enough in virtual time that
@@ -263,11 +271,12 @@ impl Testbed {
             })
             .collect();
         let switch = (m > 1).then(|| b.switch("lan-switch"));
-        let gateway = b.gateway("gateway", Gateway::new(tag, policy, index));
+        let gateway = b.new_gateway(tag, policy, index);
+        let gateway = b.gateway("gateway", gateway);
 
         // Test server: static address, DHCP service for the gateway's WAN
         // side, the hiit.fi DNS zone, and echo responders.
-        let mut server = Host::new("test-server");
+        let mut server = b.new_host("test-server");
         server.add_iface(PortId(0), IfaceConfig::new(server_addr, 24));
         server.enable_dhcp_server(
             PortId(0),
@@ -296,7 +305,8 @@ impl Testbed {
         let wan_link = b.link(gateway, WAN_PORT, server, PortId(0), ether());
 
         let topo = b.build();
-        let host_ids: Vec<NodeId> = topo.lan_hosts();
+        let mut host_ids = shell.hosts.cleared();
+        host_ids.extend(topo.lan_hosts_iter());
         Testbed {
             client: host_ids[0],
             server: topo.node_id("test-server"),
@@ -308,6 +318,12 @@ impl Testbed {
             index,
             topo,
         }
+    }
+
+    /// Tears the testbed down into a shell the next testbed can be built
+    /// into with [`TestbedBuilder::build_in`].
+    pub fn into_shell(self) -> TestbedShell {
+        TestbedShell { topo: self.topo.into_shell(), hosts: self.hosts }
     }
 
     /// The device tag.

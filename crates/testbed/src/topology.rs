@@ -43,10 +43,11 @@
 
 use std::net::Ipv4Addr;
 
+use hgw_core::Cleared;
 use hgw_core::{
     Duration, Instant, LinkConfig, LinkId, Node, NodeCtx, NodeId, PortId, SimCore, SpanId,
 };
-use hgw_gateway::Gateway;
+use hgw_gateway::{Gateway, GatewayPolicy};
 use hgw_stack::host::Host;
 use hgw_stack::switch::Switch;
 
@@ -130,27 +131,122 @@ enum Spec {
     },
 }
 
+/// What a torn-down [`Topology`] leaves behind for the next one: the
+/// emptied simulator (event wheel, slabs, link queues, frame-pool buffers),
+/// the retired hosts and gateways, and the builder's and topology's own
+/// tables — capacity only, no state. A fleet worker builds every device
+/// into the shell of the one before (DESIGN.md §15); a fresh build is a
+/// build into [`TopologyShell::default`].
+#[derive(Default)]
+pub struct TopologyShell {
+    sim: TopologySim,
+    names: Vec<String>,
+    kinds: Vec<Kind>,
+    ids: Vec<NodeId>,
+    links: Vec<LinkId>,
+    spares: Spares,
+}
+
+/// The parts of a topology's build that its running [`Topology`] does not
+/// use, kept for the next build.
+#[derive(Default)]
+struct Spares {
+    /// Retired nodes, handed out by [`TopologyBuilder::new_host`] and
+    /// [`TopologyBuilder::new_gateway`].
+    hosts: Vec<Host>,
+    gateways: Vec<Gateway>,
+    /// Retired node-name strings.
+    names: Vec<String>,
+    /// The builder's own lists, empty.
+    specs: Vec<Spec>,
+    wiring: Vec<Wire>,
+}
+
+/// One `link`/`attach` call: `(a, a_port, b, b_port, config)` by builder
+/// index.
+type Wire = (usize, PortId, usize, PortId, LinkConfig);
+
 /// Declarative builder for a [`Topology`] (see the module docs for the
 /// lifecycle and a worked example).
 pub struct TopologyBuilder {
-    seed: u64,
     names: Vec<String>,
     kinds: Vec<Kind>,
     specs: Vec<Spec>,
-    links: Vec<(usize, PortId, usize, PortId, LinkConfig)>,
+    links: Vec<Wire>,
     boxed_oracle: bool,
+    /// The simulator, already reset to the builder's seed.
+    sim: TopologySim,
+    /// Emptied id tables for the built topology.
+    ids: Vec<NodeId>,
+    link_ids: Vec<LinkId>,
+    spares: Spares,
 }
 
 impl TopologyBuilder {
     /// A builder whose simulator will be seeded with `seed`.
     pub fn new(seed: u64) -> TopologyBuilder {
+        TopologyBuilder::in_shell(TopologyShell::default(), seed)
+    }
+
+    /// A builder that builds into `shell`, whose simulator will be seeded
+    /// with `seed`. The result is the topology [`TopologyBuilder::new`]
+    /// would build; only the allocations are inherited.
+    pub fn in_shell(shell: TopologyShell, seed: u64) -> TopologyBuilder {
+        let TopologyShell { mut sim, mut names, kinds, ids, links, mut spares } = shell;
+        sim.reset(seed, |node| match node {
+            NodeKind::Host(h) => spares.hosts.push(h),
+            NodeKind::Gateway(g) => spares.gateways.push(g),
+            NodeKind::Switch(_) => {}
+            // The boxed-oracle representation of the same nodes: move the
+            // node out of its box, leaving an empty stand-in behind.
+            NodeKind::Custom(mut node) => {
+                let node = Node::as_any_mut(&mut *node);
+                if let Some(h) = node.downcast_mut::<Host>() {
+                    spares.hosts.push(std::mem::replace(h, Host::new("")));
+                } else if let Some(g) = node.downcast_mut::<Gateway>() {
+                    let stand_in = Gateway::new("", g.policy, 0);
+                    spares.gateways.push(std::mem::replace(g, stand_in));
+                }
+            }
+        });
+        // Hand the retired hosts out in the order they were built, so each
+        // role (client, server, …) inherits the tables it grew before.
+        spares.hosts.reverse();
+        spares.names.append(&mut names);
         TopologyBuilder {
-            seed,
-            names: Vec::new(),
-            kinds: Vec::new(),
-            specs: Vec::new(),
-            links: Vec::new(),
+            names,
+            kinds: kinds.cleared(),
+            specs: std::mem::take(&mut spares.specs),
+            links: std::mem::take(&mut spares.wiring),
             boxed_oracle: cfg!(feature = "boxed-oracle"),
+            sim,
+            ids: ids.cleared(),
+            link_ids: links.cleared(),
+            spares,
+        }
+    }
+
+    /// A host for this topology: `Host::new(name)`, built on a retired
+    /// host's allocations when the shell has one.
+    pub fn new_host(&mut self, name: &str) -> Host {
+        match self.spares.hosts.pop() {
+            Some(mut host) => {
+                host.renew(name);
+                host
+            }
+            None => Host::new(name),
+        }
+    }
+
+    /// A gateway for this topology: `Gateway::new(tag, policy, index)`,
+    /// built on a retired gateway's allocations when the shell has one.
+    pub fn new_gateway(&mut self, tag: &str, policy: GatewayPolicy, index: u8) -> Gateway {
+        match self.spares.gateways.pop() {
+            Some(mut gateway) => {
+                gateway.renew(tag, policy, index);
+                gateway
+            }
+            None => Gateway::new(tag, policy, index),
         }
     }
 
@@ -171,7 +267,9 @@ impl TopologyBuilder {
             !self.names.iter().any(|n| n == name),
             "TopologyBuilder: duplicate node name {name:?}"
         );
-        self.names.push(name.to_string());
+        let mut owned = self.spares.names.pop().unwrap_or_default().cleared();
+        owned.push_str(name);
+        self.names.push(owned);
         self.kinds.push(kind);
         self.specs.push(spec);
         NodeHandle(self.specs.len() - 1)
@@ -246,27 +344,30 @@ impl TopologyBuilder {
     /// Panics if bring-up does not complete within 30 s of virtual time —
     /// a topology that cannot even DHCP is a bug, not a measurement.
     pub fn build(self) -> Topology {
-        let mut sim = TopologySim::new(self.seed);
-        let oracle = self.boxed_oracle;
-        let ids: Vec<NodeId> = self
-            .specs
-            .into_iter()
-            .zip(&self.names)
-            .map(|(spec, name)| {
-                let node = match spec {
-                    Spec::Ready(node) => node,
-                    Spec::Switch { ports } => NodeKind::Switch(Switch::new(name, ports)),
-                };
-                sim.add_node(if oracle { node.into_boxed() } else { node })
-            })
-            .collect();
-        let links: Vec<LinkId> = self
-            .links
-            .into_iter()
-            .map(|(a, ap, b, bp, cfg)| sim.connect(ids[a], ap, ids[b], bp, cfg))
-            .collect();
+        let TopologyBuilder {
+            names,
+            kinds,
+            mut specs,
+            links: mut wiring,
+            boxed_oracle,
+            mut sim,
+            mut ids,
+            link_ids: mut links,
+            mut spares,
+        } = self;
+        for (spec, name) in specs.drain(..).zip(&names) {
+            let node = match spec {
+                Spec::Ready(node) => node,
+                Spec::Switch { ports } => NodeKind::Switch(Switch::new(name, ports)),
+            };
+            ids.push(sim.add_node(if boxed_oracle { node.into_boxed() } else { node }));
+        }
+        for (a, ap, b, bp, cfg) in wiring.drain(..) {
+            links.push(sim.connect(ids[a], ap, ids[b], bp, cfg));
+        }
         sim.boot();
-        let mut topo = Topology { sim, names: self.names, kinds: self.kinds, ids, links };
+        (spares.specs, spares.wiring) = (specs, wiring);
+        let mut topo = Topology { sim, names, kinds, ids, links, spares };
         topo.bring_up();
         topo
     }
@@ -282,9 +383,18 @@ pub struct Topology {
     kinds: Vec<Kind>,
     ids: Vec<NodeId>,
     links: Vec<LinkId>,
+    /// The build's spare parts, kept for [`Topology::into_shell`].
+    spares: Spares,
 }
 
 impl Topology {
+    /// Tears the topology down into a shell the next topology can be built
+    /// into (see [`TopologyShell`]).
+    pub fn into_shell(self) -> TopologyShell {
+        let Topology { sim, names, kinds, ids, links, spares } = self;
+        TopologyShell { sim, names, kinds, ids, links, spares }
+    }
+
     /// Runs DHCP everywhere until every client/gateway is configured.
     fn bring_up(&mut self) {
         let deadline = self.sim.now() + BRINGUP_LIMIT;
@@ -358,10 +468,16 @@ impl Topology {
     }
 
     fn by_kind(&self, kinds: &[Kind]) -> Vec<NodeId> {
-        (0..self.ids.len())
-            .filter(|&i| kinds.contains(&self.kinds[i]))
-            .map(|i| self.ids[i])
-            .collect()
+        self.by_kind_iter(kinds).collect()
+    }
+
+    fn by_kind_iter<'a>(&'a self, kinds: &'a [Kind]) -> impl Iterator<Item = NodeId> + 'a {
+        (0..self.ids.len()).filter(|&i| kinds.contains(&self.kinds[i])).map(|i| self.ids[i])
+    }
+
+    /// [`Topology::lan_hosts`] without collecting.
+    pub(crate) fn lan_hosts_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.by_kind_iter(&[Kind::DhcpHost])
     }
 
     /// Resolves a [`LinkHandle`] from the builder to the simulator's
@@ -438,9 +554,12 @@ pub struct Span<'a> {
 
 impl<'a> Span<'a> {
     /// Attaches a viewer-visible argument (shown in the Perfetto detail
-    /// pane).
-    pub fn arg(mut self, arg: impl Into<String>) -> Span<'a> {
-        self.arg = Some(arg.into());
+    /// pane). Formatted only when telemetry is on, so a probe can pass
+    /// `format_args!(..)` unconditionally without allocating.
+    pub fn arg(mut self, arg: impl std::fmt::Display) -> Span<'a> {
+        if self.sim.telemetry().is_some() {
+            self.arg = Some(arg.to_string());
+        }
         self
     }
 

@@ -110,15 +110,24 @@ impl DhcpMessage {
 
     /// Encodes the message as a UDP payload.
     pub fn emit(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; FIXED_LEN];
-        buf[0] = if self.is_request_op { 1 } else { 2 };
-        buf[1] = 1; // htype: Ethernet
-        buf[2] = 6; // hlen
-        write_u32(&mut buf, 4, self.xid);
-        buf[12..16].copy_from_slice(&self.client_addr.octets());
-        buf[16..20].copy_from_slice(&self.your_addr.octets());
-        buf[20..24].copy_from_slice(&self.server_addr.octets());
-        buf[28..34].copy_from_slice(&self.chaddr);
+        let mut buf = Vec::new();
+        self.emit_onto(&mut buf);
+        buf
+    }
+
+    /// Appends the encoded message to `buf` (a reused scratch buffer, say).
+    pub fn emit_onto(&self, buf: &mut Vec<u8>) {
+        let base = buf.len();
+        buf.resize(base + FIXED_LEN, 0);
+        let fixed = &mut buf[base..];
+        fixed[0] = if self.is_request_op { 1 } else { 2 };
+        fixed[1] = 1; // htype: Ethernet
+        fixed[2] = 6; // hlen
+        write_u32(fixed, 4, self.xid);
+        fixed[12..16].copy_from_slice(&self.client_addr.octets());
+        fixed[16..20].copy_from_slice(&self.your_addr.octets());
+        fixed[20..24].copy_from_slice(&self.server_addr.octets());
+        fixed[28..34].copy_from_slice(&self.chaddr);
         buf.extend_from_slice(&MAGIC.to_be_bytes());
         buf.extend_from_slice(&[53, 1, self.message_type.code()]);
         let mut opt_addr = |code: u8, addr: &Ipv4Addr| {
@@ -149,7 +158,6 @@ impl DhcpMessage {
             }
         }
         buf.push(255); // end
-        buf
     }
 
     /// Parses a message from a UDP payload.

@@ -158,16 +158,24 @@ impl UdpRepr {
     /// Builds the complete datagram (header + payload) with a valid
     /// checksum under the given pseudo-header.
     pub fn emit_with_payload(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+        self.emit_onto(src, dst, payload, &mut buf);
+        buf
+    }
+
+    /// Appends the complete datagram to `buf` — after an IP header, say,
+    /// so a frame is built in one pooled buffer.
+    pub fn emit_onto(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], buf: &mut Vec<u8>) {
         let total = HEADER_LEN + payload.len();
         assert!(total <= u16::MAX as usize, "UDP datagram too large");
-        let mut buf = vec![0u8; total];
-        write_u16(&mut buf, field::SRC_PORT, self.src_port);
-        write_u16(&mut buf, field::DST_PORT, self.dst_port);
-        write_u16(&mut buf, field::LENGTH, total as u16);
-        buf[HEADER_LEN..].copy_from_slice(payload);
-        let mut packet = UdpPacket::new_unchecked(&mut buf[..]);
-        packet.fill_checksum(src, dst);
-        buf
+        let base = buf.len();
+        buf.resize(base + HEADER_LEN, 0);
+        buf.extend_from_slice(payload);
+        let datagram = &mut buf[base..];
+        write_u16(datagram, field::SRC_PORT, self.src_port);
+        write_u16(datagram, field::DST_PORT, self.dst_port);
+        write_u16(datagram, field::LENGTH, total as u16);
+        UdpPacket::new_unchecked(datagram).fill_checksum(src, dst);
     }
 }
 

@@ -17,7 +17,7 @@ fn main() {
     });
     println!(
         "====== {} — {} {} (firmware {}) ======\n",
-        device.tag, device.vendor, device.model, device.firmware
+        device.tag, device.provenance.vendor, device.provenance.model, device.provenance.firmware
     );
     // Each section gets a fresh testbed: probes leave bindings behind, and
     // on small-table devices (ls1 caps at 32) a saturated table would
@@ -26,10 +26,10 @@ fn main() {
     let mut fresh = {
         let mut slot = 0u8;
         let tag = device.tag;
-        let policy = device.policy.clone();
+        let policy = device.policy;
         move || {
             slot += 1;
-            Testbed::new(tag, policy.clone(), slot, 0xD0C + slot as u64)
+            Testbed::new(tag, policy, slot, 0xD0C + slot as u64)
         }
     };
     let mut tb = fresh();

@@ -26,7 +26,7 @@ fn main() {
         std::process::exit(1);
     };
 
-    let mut tb = Testbed::builder(device.tag, device.policy.clone()).index(1).seed(42).build();
+    let mut tb = Testbed::builder(device.tag, device.policy).index(1).seed(42).build();
     tb.sim.attach_observer(Box::new(EventLog::new()));
 
     // Workload: one upload, one UDP flow probed after its timeout (the

@@ -27,7 +27,7 @@ fn main() {
             eprintln!("unknown device '{tag}', skipping");
             continue;
         };
-        let mut tb = Testbed::new(device.tag, device.policy.clone(), (i + 1) as u8, 99);
+        let mut tb = Testbed::new(device.tag, device.policy, (i + 1) as u8, 99);
         let udp3 =
             measure_refresh(&mut tb, 23_000, UdpScenario::Bidirectional, Duration::from_secs(2));
         let tcp1 = hgw_probe::tcp_timeout::measure_tcp1(&mut tb);

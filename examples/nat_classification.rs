@@ -20,7 +20,7 @@ fn main() {
     println!("{}", "-".repeat(75));
     for (i, tag) in tags.iter().enumerate() {
         let device = devices::device(tag).expect("known tag");
-        let mut tb = Testbed::new(device.tag, device.policy.clone(), (i + 1) as u8, 7);
+        let mut tb = Testbed::new(device.tag, device.policy, (i + 1) as u8, 7);
         let c = classify_nat(&mut tb);
         println!(
             "{:6} {:22} {:22} {:10} {:9}  => {}",

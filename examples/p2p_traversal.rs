@@ -13,7 +13,7 @@ use hgw_testbed::DualNatTestbed;
 use home_gateway_study::prelude::*;
 
 fn policy(tag: &str) -> GatewayPolicy {
-    devices::device(tag).expect("known tag").policy.clone()
+    devices::device(tag).expect("known tag").policy
 }
 
 fn main() {

@@ -17,7 +17,7 @@ use home_gateway_study::prelude::*;
 
 fn main() {
     let device = devices::device("owrt").unwrap();
-    let mut tb = Testbed::new(device.tag, device.policy.clone(), 1, 0xCAB);
+    let mut tb = Testbed::new(device.tag, device.policy, 1, 0xCAB);
     // Capture both directions of both links.
     for link in [tb.lan_link, tb.wan_link] {
         tb.sim.enable_trace(link, Dir::AtoB);

@@ -20,7 +20,7 @@ fn main() {
     let mut survivors = Vec::new();
     let mut blackholes = Vec::new();
     for (i, device) in devices::all_devices().into_iter().enumerate() {
-        let mut tb = Testbed::new(device.tag, device.policy.clone(), (i % 200 + 1) as u8, 5);
+        let mut tb = Testbed::new(device.tag, device.policy, (i % 200 + 1) as u8, 5);
         let matrix = measure_icmp_matrix(&mut tb);
         let outcome = matrix
             .tcp

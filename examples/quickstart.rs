@@ -15,12 +15,12 @@ fn main() {
     });
     println!(
         "Device under test: {} — {} {} (fw {})",
-        device.tag, device.vendor, device.model, device.firmware
+        device.tag, device.provenance.vendor, device.provenance.model, device.provenance.firmware
     );
 
     // Assemble Figure 1: client ── gateway ── server, with DHCP on both
     // sides of the gateway.
-    let mut tb = Testbed::new(device.tag, device.policy.clone(), 1, 0xC0FFEE);
+    let mut tb = Testbed::new(device.tag, device.policy, 1, 0xC0FFEE);
     println!("client address (leased by the gateway): {}", tb.client_addr());
     println!("gateway WAN address (leased by the test server): {}", tb.gateway_wan_addr());
 

@@ -1,8 +1,11 @@
-//! Heap-allocation budget of the TCP data path.
+//! Heap-allocation and footprint budgets: the TCP data path, testbed
+//! bring-up, and the per-device cost of a mega-fleet campaign.
 //!
 //! A steady TCP transfer takes its segment buffers from the simulator's
 //! frame pool and reuses its stream-buffer chunks, so moving more bytes
-//! must not make more allocations. A counting global allocator measures
+//! must not make more allocations. A mega-fleet device is one plain-data
+//! profile and, on a fleet worker's recycled testbed shell, almost no heap
+//! work. A counting global allocator measures
 //! the calling thread only, which keeps the other tests of this binary
 //! (run on their own threads) out of the figures. It also tracks the live
 //! heap, so the memory a probe holds at its peak is gated along with what
@@ -12,8 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hgw_core::FramePool;
+use hgw_devices::{synthetic_fleet, DeviceProfile};
 use hgw_probe::max_bindings::measure_max_bindings;
 use hgw_probe::throughput::run_battery;
+use hgw_probe::udp_timeout::measure_udp1;
 use home_gateway_study::prelude::*;
 
 struct CountingAlloc;
@@ -145,4 +150,53 @@ fn testbed_bring_up_builds_no_idle_wheel_levels() {
     // none of them may allocate its 704 slot buckets (16 896 bytes each);
     // with eagerly built levels one Testbed::new allocated 113 769 bytes.
     assert!(heap.bytes < 72_000, "one Testbed::new allocated {} bytes", heap.bytes);
+}
+
+#[test]
+fn device_profiles_are_plain_data() {
+    // A profile is copied into every testbed and a mega-fleet holds 10 000
+    // of them. With a `Vec` of service overrides and three provenance
+    // strings inline it was 256 bytes.
+    let size = std::mem::size_of::<DeviceProfile>();
+    eprintln!("DeviceProfile: {size} bytes");
+    assert!(size <= 208, "DeviceProfile is {size} bytes");
+}
+
+#[test]
+fn a_warm_synthetic_fleet_allocates_only_its_vec() {
+    // Warm-up: fits the population model and makes the tag blocks.
+    drop(synthetic_fleet(0, 10_000));
+    let heap = heap_use_during(|| drop(synthetic_fleet(0, 10_000)));
+    eprintln!("warm synthetic_fleet(0, 10 000): {} allocations", heap.allocs);
+    // Refitting the model for every call, cloning the override `Vec` of
+    // each profile that has one and indexing the tags made 294.
+    assert!(heap.allocs <= 1, "a warm 10 000-profile fleet made {} allocations", heap.allocs);
+}
+
+#[test]
+fn a_recycled_fleet_worker_runs_a_udp1_device_almost_heap_free() {
+    const WARM: usize = 10;
+    const MEASURED: usize = 200;
+    let devices = synthetic_fleet(5, WARM + MEASURED);
+    // One sequential worker runs on this thread. The fold marks this
+    // thread's allocation count as each device finishes, so consecutive
+    // marks bracket one device: bring-up into the recycled shell, the
+    // probe, harvesting, and teardown back into the shell.
+    let report = FleetRunner::new(&devices)
+        .seed(5)
+        .parallelism(Parallelism::Sequential)
+        .run_fold(
+            |tb, _| measure_udp1(tb, 20_000).timeout_secs,
+            || Vec::with_capacity(WARM + MEASURED),
+            |marks: &mut Vec<u64>, _| marks.push(ALLOCS.with(Cell::get)),
+            |_, _| unreachable!("one sequential worker never merges"),
+        )
+        .expect("fleet campaign");
+    assert_eq!(report.folded, WARM + MEASURED);
+    let marks = report.aggregate;
+    let per_device = (marks[WARM + MEASURED - 1] - marks[WARM - 1]) as f64 / MEASURED as f64;
+    eprintln!("recycled UDP-1 device: {per_device:.1} allocations");
+    // With a fresh testbed per device (only frame buffers recycled) a
+    // device made 241.
+    assert!(per_device <= 60.0, "a UDP-1 device made {per_device:.1} allocations");
 }

@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn translated_frames_carry_valid_checksums(seed in 0u64..1_000_000, slot in 0usize..64) {
         let profile = devices::synthetic_fleet(seed, slot + 1).pop().expect("one profile");
-        let mut tb = Testbed::new(profile.tag, profile.policy.clone(), 1, seed);
+        let mut tb = Testbed::new(profile.tag, profile.policy, 1, seed);
         let links = [tb.lan_link, tb.wan_link];
         for &link in &links {
             for dir in [Dir::AtoB, Dir::BtoA] {

@@ -13,7 +13,7 @@ use home_gateway_study::prelude::*;
 /// push data to the client.
 fn survives_idle(tag: &str, slot: u8, keepalive: Option<Duration>, idle: Duration) -> bool {
     let d = devices::device(tag).unwrap();
-    let mut tb = Testbed::new(d.tag, d.policy.clone(), slot, 0xAA00 + slot as u64);
+    let mut tb = Testbed::new(d.tag, d.policy, slot, 0xAA00 + slot as u64);
     let server_addr = tb.server_addr;
     tb.with_host(HostId::Server, |h, _| h.tcp_listen(7070, ListenerApp::Manual));
     let config = TcpConfig { keepalive, ..TcpConfig::default() };

@@ -1,4 +1,4 @@
-//! Mega-fleet scale: the batched work queue, per-worker arena reuse, and
+//! Mega-fleet scale: the batched work queue, per-worker testbed shells, and
 //! streaming [`run_fold`](hgw_probe::fleet::FleetRunner::run_fold)
 //! aggregation must not change a campaign's results. A 1 000-device
 //! synthetic fleet folded under `Parallelism::Sequential` and under a
@@ -46,7 +46,7 @@ fn thousand_device_fold_is_bit_identical_across_modes() {
     assert_eq!(par.folded, FLEET);
 
     // The determinism guarantee at mega-fleet scale: folding through a
-    // batched worker pool with per-worker arenas is invisible in the
+    // batched worker pool with per-worker testbed shells is invisible in the
     // aggregate.
     assert_eq!(seq.aggregate, par.aggregate);
 
@@ -71,8 +71,8 @@ fn parallel_leg_hands_out_batches_not_single_devices() {
     assert_eq!(batches, FLEET.div_ceil(s.batch_size), "every batch claimed exactly once");
     for w in &s.per_worker {
         // A worker that ran devices claimed far fewer queue slots than
-        // devices — the point of batching — and reused its warm arena for
-        // every device after its first cold start.
+        // devices — the point of batching — and built every device after
+        // its first into the previous one's testbed shell.
         assert!(w.batches <= w.devices_run.div_ceil(s.batch_size) + 1, "{w:?}");
         if w.devices_run > 0 {
             assert!(w.pool_reused >= (w.devices_run - 1) as u64 / 2, "{w:?}");

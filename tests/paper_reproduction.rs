@@ -11,7 +11,7 @@ use home_gateway_study::prelude::*;
 
 fn testbed(tag: &str, slot: u8) -> Testbed {
     let d = devices::device(tag).unwrap_or_else(|| panic!("unknown device {tag}"));
-    Testbed::new(d.tag, d.policy.clone(), slot, 0xACE0 ^ slot as u64)
+    Testbed::new(d.tag, d.policy, slot, 0xACE0 ^ slot as u64)
 }
 
 #[test]

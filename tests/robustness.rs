@@ -10,7 +10,7 @@ use home_gateway_study::prelude::*;
 fn identical_seeds_give_identical_measurements() {
     let run = |seed: u64| {
         let d = devices::device("owrt").unwrap();
-        let mut tb = Testbed::new(d.tag, d.policy.clone(), 1, seed);
+        let mut tb = Testbed::new(d.tag, d.policy, 1, seed);
         let u1 = measure_udp1(&mut tb, 20_000);
         let class = hgw_probe::classify::classify_nat(&mut tb);
         (u1.timeout_secs, u1.trials, class)
@@ -25,7 +25,7 @@ fn different_seeds_still_measure_the_same_timeout() {
     let d = devices::device("ed").unwrap();
     let mut values = Vec::new();
     for seed in [1, 2, 3] {
-        let mut tb = Testbed::new(d.tag, d.policy.clone(), 1, seed);
+        let mut tb = Testbed::new(d.tag, d.policy, 1, seed);
         values.push(measure_udp1(&mut tb, 20_000).timeout_secs);
     }
     for v in &values {
@@ -38,7 +38,7 @@ fn tcp_bulk_transfer_survives_packet_loss() {
     // smoltcp-style fault injection: 2% loss on the WAN link; the transfer
     // must still complete (retransmissions) at reduced speed.
     let d = devices::device("bu1").unwrap();
-    let mut tb = Testbed::new(d.tag, d.policy.clone(), 1, 77);
+    let mut tb = Testbed::new(d.tag, d.policy, 1, 77);
     *tb.link_config_mut(tb.wan_link) = hgw_core::LinkConfig {
         fault: FaultConfig { drop_chance: 0.02, ..FaultConfig::NONE },
         ..hgw_core::LinkConfig::ethernet_100m()
@@ -57,7 +57,7 @@ fn tcp_bulk_transfer_survives_packet_loss() {
 #[test]
 fn tcp_transfer_survives_corruption_and_reordering() {
     let d = devices::device("al").unwrap();
-    let mut tb = Testbed::new(d.tag, d.policy.clone(), 2, 78);
+    let mut tb = Testbed::new(d.tag, d.policy, 2, 78);
     *tb.link_config_mut(tb.lan_link) = hgw_core::LinkConfig {
         fault: FaultConfig {
             corrupt_chance: 0.01,
@@ -81,7 +81,7 @@ fn tcp_transfer_survives_corruption_and_reordering() {
 fn udp_measurement_unaffected_by_background_tcp_noise() {
     // A concurrent TCP connection must not perturb the UDP-1 result.
     let d = devices::device("to").unwrap();
-    let mut tb = Testbed::new(d.tag, d.policy.clone(), 3, 79);
+    let mut tb = Testbed::new(d.tag, d.policy, 3, 79);
     let server_addr = tb.server_addr;
     tb.with_host(HostId::Server, |h: &mut Host, _| h.tcp_listen(8080, ListenerApp::Echo));
     let conn = tb.with_host(HostId::Client, |h, ctx| {
@@ -107,7 +107,7 @@ fn drop_accounting_sums_match_under_fault_injection() {
     // counters must agree with the corresponding DropCounts slots.
     use hgw_core::DropReason;
     let d = devices::device("bu1").unwrap();
-    let mut tb = Testbed::new(d.tag, d.policy.clone(), 1, 91);
+    let mut tb = Testbed::new(d.tag, d.policy, 1, 91);
     *tb.link_config_mut(tb.wan_link) = hgw_core::LinkConfig {
         fault: FaultConfig { drop_chance: 0.05, ..FaultConfig::NONE },
         ..hgw_core::LinkConfig::ethernet_100m()
@@ -166,7 +166,7 @@ fn tracing_does_not_change_measurements() {
     // must be identical whether or not a trace sink is watching.
     let run = |attach: bool| {
         let d = devices::device("smc").unwrap();
-        let mut tb = Testbed::new(d.tag, d.policy.clone(), 1, 4242);
+        let mut tb = Testbed::new(d.tag, d.policy, 1, 4242);
         if attach {
             tb.sim.attach_observer(Box::new(hgw_core::EventLog::new()));
         }
@@ -182,7 +182,7 @@ fn tracing_does_not_change_measurements() {
 fn bringup_works_for_every_device_profile() {
     // Double-DHCP bring-up and a UDP round trip for all 34 profiles.
     for (i, d) in devices::all_devices().into_iter().enumerate() {
-        let mut tb = Testbed::new(d.tag, d.policy.clone(), (i + 1) as u8, 0xB00 + i as u64);
+        let mut tb = Testbed::new(d.tag, d.policy, (i + 1) as u8, 0xB00 + i as u64);
         let server_addr = tb.server_addr;
         let srv = tb.with_host(HostId::Server, |h, _| {
             let s = h.udp_bind(7777);

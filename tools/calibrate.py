@@ -7,8 +7,10 @@ plot ordering is visible, values are reconstructed monotonically along the
 published x-axis order. This script verifies every constraint and emits
 `crates/devices/src/data.rs`.
 
-Run: python3 tools/calibrate.py
+Run from the repository root: python3 tools/calibrate.py (needs rustfmt)
 """
+
+import subprocess
 
 TAGS = ["al","ap","as1","be1","be2","bu1","dl1","dl10","dl2","dl3","dl4","dl5",
         "dl6","dl7","dl8","dl9","ed","je","ls1","ls2","ls3","ls5","ng1","ng2",
@@ -311,12 +313,11 @@ def emit():
     out.append("use hgw_core::Duration;")
     out.append("use hgw_gateway::policy::*;")
     out.append("")
-    out.append("use crate::profile::{DeviceProfile, Expected};")
+    out.append("use crate::profile::{DeviceProfile, Expected, Provenance};")
     out.append("")
-    out.append("/// Builds the full calibrated registry (34 devices, Table 1 order).")
-    out.append("#[allow(clippy::too_many_lines)]")
-    out.append("pub(crate) fn build_all() -> Vec<DeviceProfile> {")
-    out.append("    vec![")
+    out.append("/// The full calibrated registry (34 devices, Table 1 order), as plain")
+    out.append("/// `'static` data: reading it allocates nothing.")
+    out.append(f"pub(crate) static DEVICES: [DeviceProfile; {len(TAGS)}] = [")
     for t in TAGS:
         ven, model, fw = VENDOR[t]
         g = GRANULARITY.get(t, 1)
@@ -389,14 +390,12 @@ def emit():
         hairpin = "true" if t in ("owrt","to","ap","bu1") else "false"
         out.append(f"""        DeviceProfile {{
             tag: "{t}",
-            vendor: "{ven}",
-            model: "{model}",
-            firmware: "{fw}",
+            provenance: &Provenance {{ vendor: "{ven}", model: "{model}", firmware: "{fw}" }},
             policy: GatewayPolicy {{
                 udp_timeout_solitary: {dur(c1)},
                 udp_timeout_inbound: {dur(c2)},
                 udp_timeout_bidirectional: {dur(c3)},
-                udp_service_overrides: vec![{ov_rs}],
+                udp_service_overrides: &[{ov_rs}],
                 timer_granularity: Duration::from_secs({g}),
                 tcp_timeout: Duration::from_secs({tcp_secs}),
                 max_bindings: {TCP4[t]},
@@ -435,11 +434,14 @@ def emit():
                 max_bindings: {TCP4[t]},
             }},
         }},""")
-    out.append("    ]")
-    out.append("}")
-    with open("crates/devices/src/data.rs", "w") as f:
+    out.append("];")
+    path = "crates/devices/src/data.rs"
+    with open(path, "w") as f:
         f.write("\n".join(out) + "\n")
-    print("wrote crates/devices/src/data.rs")
+    # The committed file is exactly this output after rustfmt (the repo's
+    # rustfmt.toml), so CI can regenerate it and byte-compare.
+    subprocess.run(["rustfmt", "--edition", "2021", path], check=True)
+    print(f"wrote {path}")
 
 if __name__ == "__main__":
     check()
