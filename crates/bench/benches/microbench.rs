@@ -117,11 +117,17 @@ fn bench_checksums(results: &mut Vec<MicroResult>) {
     bench(results, "checksum", "transport_checksum_1460", Some(len), || {
         transport_checksum(src, dst, 6, std::hint::black_box(&data))
     });
-    // The fused bulk-path kernel: append an MSS payload AND produce its
-    // pair sum in one pass, vs the pre-fusion strategy of copying first and
-    // re-reading everything to checksum it (kept as the oracle leg for the
-    // trajectory). Both legs report payload bytes per iteration, so the
-    // fused leg's higher MB/s is the single-pass win.
+    // Every frame's IPv4 header verify, on an option-less header: the
+    // fixed 20-byte path of the sum (a host verifies each frame it
+    // receives, the gateway each frame it forwards).
+    let header = Ipv4Repr::new(src, dst, Protocol::Tcp).emit_with_payload(&[]);
+    bench(results, "checksum", "ipv4_header_20", Some(20), || {
+        Ipv4Packet::new_unchecked(std::hint::black_box(&header[..])).verify_checksum()
+    });
+    // The bulk-path kernel: append an MSS payload and produce its pair sum
+    // (a memcpy, then the wide sum over the still-cached source), vs
+    // summing the copied destination instead (kept as the oracle leg for
+    // the trajectory). Both legs report payload bytes per iteration.
     let mut out = Vec::with_capacity(4096);
     bench(results, "checksum", "copy_and_checksum_1460B", Some(len), || {
         out.clear();

@@ -18,7 +18,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use hgw_core::{
     impl_node_downcast, Cleared, DropReason, Instant, Node, NodeCtx, PortId, TimerToken, TraceEvent,
 };
-use hgw_stack::dhcp::{DhcpClient, DhcpServer, DhcpServerConfig};
+use hgw_stack::dhcp::{DhcpClient, DhcpServer, DhcpServerConfig, DnsServers};
 use hgw_stack::host::send_udp;
 use hgw_stack::tcp::{TcpConfig, TcpSocket};
 use hgw_wire::dhcp::{DhcpMessage, CLIENT_PORT, SERVER_PORT};
@@ -111,9 +111,7 @@ pub struct Gateway {
     /// Diagnostics.
     pub stats: GatewayStats,
     armed_at: Option<Instant>,
-    /// Scratch for the DHCP client's outgoing messages, and for one
-    /// message's encoding before it is framed.
-    dhcp_out: Vec<DhcpMessage>,
+    /// Scratch for one DHCP message's encoding before it is framed.
     dhcp_wire: Vec<u8>,
 }
 
@@ -128,7 +126,8 @@ impl Gateway {
             pool_size: 100,
             subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
             router: None,
-            dns_servers: vec![lan_addr], // clients use the gateway's proxy
+            // Clients use the gateway's proxy.
+            dns_servers: DnsServers::from_slice(&[lan_addr]),
             lease_secs: 7 * 24 * 3600,
         });
         let chaddr = [0x02, 0x47, 0x57, 0, 0, index];
@@ -149,7 +148,6 @@ impl Gateway {
             upstream_conns: Vec::new(),
             stats: GatewayStats::default(),
             armed_at: None,
-            dhcp_out: Vec::new(),
             dhcp_wire: Vec::new(),
         }
     }
@@ -169,7 +167,6 @@ impl Gateway {
         self.udp_dns_pending = old.udp_dns_pending.cleared();
         self.proxy_conns = old.proxy_conns.cleared();
         self.upstream_conns = old.upstream_conns.cleared();
-        self.dhcp_out = old.dhcp_out.cleared();
         self.dhcp_wire = old.dhcp_wire.cleared();
     }
 
@@ -1222,7 +1219,7 @@ impl Gateway {
     // -------------------------------------------------------- timers ----
 
     fn after_dhcp(&mut self, ctx: &mut NodeCtx) {
-        if let Some(lease) = self.dhcp_client.lease.clone() {
+        if let Some(lease) = &self.dhcp_client.lease {
             if self.wan_addr.is_none() {
                 self.wan_addr = Some(lease.addr);
                 self.upstream_dns = lease.dns_servers.first().copied();
@@ -1234,8 +1231,7 @@ impl Gateway {
     fn poll(&mut self, ctx: &mut NodeCtx) {
         let now = ctx.now();
         self.dhcp_client.on_timer(now);
-        self.dhcp_client.dispatch_into(&mut self.dhcp_out);
-        for msg in self.dhcp_out.drain(..) {
+        for msg in self.dhcp_client.dispatch() {
             let udp = UdpRepr { src_port: CLIENT_PORT, dst_port: SERVER_PORT };
             let repr = Ipv4Repr::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, Protocol::Udp);
             self.dhcp_wire.clear();

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use hgw_core::{Duration, Instant};
+pub use hgw_wire::dhcp::DnsServers;
 use hgw_wire::dhcp::{DhcpMessage, DhcpMessageType};
 
 /// Configuration of a DHCP server instance.
@@ -25,7 +26,7 @@ pub struct DhcpServerConfig {
     /// Router option; defaults to `server_addr` when `None`.
     pub router: Option<Ipv4Addr>,
     /// DNS servers to hand out.
-    pub dns_servers: Vec<Ipv4Addr>,
+    pub dns_servers: DnsServers,
     /// Lease duration in seconds.
     pub lease_secs: u32,
 }
@@ -96,17 +97,18 @@ impl DhcpServer {
                 return Some(nak);
             }
         };
-        let mut reply = DhcpMessage::discover(msg.xid, msg.chaddr);
-        reply.message_type = reply_type;
-        reply.is_request_op = false;
-        reply.your_addr = addr;
-        reply.server_addr = self.config.server_addr;
-        reply.server_id = Some(self.config.server_addr);
-        reply.lease_secs = Some(self.config.lease_secs);
-        reply.subnet_mask = Some(self.config.subnet_mask);
-        reply.router = Some(self.config.router.unwrap_or(self.config.server_addr));
-        reply.dns_servers = self.config.dns_servers.clone();
-        Some(reply)
+        Some(DhcpMessage {
+            message_type: reply_type,
+            is_request_op: false,
+            your_addr: addr,
+            server_addr: self.config.server_addr,
+            server_id: Some(self.config.server_addr),
+            lease_secs: Some(self.config.lease_secs),
+            subnet_mask: Some(self.config.subnet_mask),
+            router: Some(self.config.router.unwrap_or(self.config.server_addr)),
+            dns_servers: self.config.dns_servers,
+            ..DhcpMessage::discover(msg.xid, msg.chaddr)
+        })
     }
 }
 
@@ -131,7 +133,7 @@ pub struct DhcpLease {
     /// Default router, if offered.
     pub router: Option<Ipv4Addr>,
     /// DNS servers offered.
-    pub dns_servers: Vec<Ipv4Addr>,
+    pub dns_servers: DnsServers,
     /// Lease duration.
     pub lease_secs: u32,
     /// The server that granted the lease.
@@ -145,7 +147,9 @@ pub struct DhcpClient {
     pub chaddr: [u8; 6],
     xid: u32,
     state: DhcpClientState,
-    offer: Option<DhcpMessage>,
+    /// The address and server id of the offer being requested: all a
+    /// REQUEST (and its retransmissions) repeats of it.
+    offer: Option<(Ipv4Addr, Option<Ipv4Addr>)>,
     /// The acquired lease once bound.
     pub lease: Option<DhcpLease>,
     rtx_deadline: Option<Instant>,
@@ -209,8 +213,8 @@ impl DhcpClient {
                 self.rtx_deadline = Some(now + RTX_INTERVAL);
             }
             DhcpClientState::Requesting => {
-                if let Some(offer) = self.offer.clone() {
-                    self.push_request(&offer);
+                if let Some((addr, server_id)) = self.offer {
+                    self.push_request(addr, server_id);
                 }
                 self.rtx_deadline = Some(now + RTX_INTERVAL);
             }
@@ -247,11 +251,11 @@ impl DhcpClient {
         Some(now + Duration::from_secs(u64::from(lease.lease_secs) / 2))
     }
 
-    fn push_request(&mut self, offer: &DhcpMessage) {
+    fn push_request(&mut self, addr: Ipv4Addr, server_id: Option<Ipv4Addr>) {
         let mut req = DhcpMessage::discover(self.xid, self.chaddr);
         req.message_type = DhcpMessageType::Request;
-        req.requested_ip = Some(offer.your_addr);
-        req.server_id = offer.server_id;
+        req.requested_ip = Some(addr);
+        req.server_id = server_id;
         self.outbox.push(req);
     }
 
@@ -262,9 +266,9 @@ impl DhcpClient {
         }
         match (self.state, msg.message_type) {
             (DhcpClientState::Selecting, DhcpMessageType::Offer) => {
-                self.offer = Some(msg.clone());
+                self.offer = Some((msg.your_addr, msg.server_id));
                 self.state = DhcpClientState::Requesting;
-                self.push_request(msg);
+                self.push_request(msg.your_addr, msg.server_id);
                 self.rtx_deadline = Some(now + RTX_INTERVAL);
             }
             (DhcpClientState::Requesting, DhcpMessageType::Ack) => {
@@ -272,7 +276,7 @@ impl DhcpClient {
                     addr: msg.your_addr,
                     subnet_mask: msg.subnet_mask.unwrap_or(Ipv4Addr::new(255, 255, 255, 0)),
                     router: msg.router,
-                    dns_servers: msg.dns_servers.clone(),
+                    dns_servers: msg.dns_servers,
                     lease_secs: msg.lease_secs.unwrap_or(3600),
                     server: msg.server_id.unwrap_or(msg.server_addr),
                 });
@@ -299,17 +303,9 @@ impl DhcpClient {
     }
 
     /// Drains messages ready for transmission (sent to 255.255.255.255
-    /// until bound).
-    pub fn dispatch(&mut self) -> Vec<DhcpMessage> {
-        let mut out = Vec::new();
-        self.dispatch_into(&mut out);
-        out
-    }
-
-    /// [`DhcpClient::dispatch`] into a reused buffer: appends the ready
-    /// messages to `out`, keeping both buffers' allocations.
-    pub fn dispatch_into(&mut self, out: &mut Vec<DhcpMessage>) {
-        out.append(&mut self.outbox);
+    /// until bound), keeping the outbox's allocation.
+    pub fn dispatch(&mut self) -> std::vec::Drain<'_, DhcpMessage> {
+        self.outbox.drain(..)
     }
 }
 
@@ -324,7 +320,7 @@ mod tests {
             pool_size: 3,
             subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
             router: None,
-            dns_servers: vec![Ipv4Addr::new(10, 0, 1, 1)],
+            dns_servers: DnsServers::from_slice(&[Ipv4Addr::new(10, 0, 1, 1)]),
             lease_secs: 86_400,
         })
     }
@@ -336,7 +332,7 @@ mod tests {
         let mut cli = DhcpClient::new([2, 0, 0, 0, 0, 1], 0x1234);
         cli.start(now);
         for _ in 0..4 {
-            let msgs = cli.dispatch();
+            let msgs: Vec<_> = cli.dispatch().collect();
             if msgs.is_empty() {
                 break;
             }
@@ -350,7 +346,7 @@ mod tests {
         let lease = cli.lease.as_ref().unwrap();
         assert_eq!(lease.addr, Ipv4Addr::new(10, 0, 1, 100));
         assert_eq!(lease.router, Some(Ipv4Addr::new(10, 0, 1, 1)));
-        assert_eq!(lease.dns_servers, vec![Ipv4Addr::new(10, 0, 1, 1)]);
+        assert_eq!(*lease.dns_servers, [Ipv4Addr::new(10, 0, 1, 1)]);
     }
 
     #[test]
@@ -402,7 +398,7 @@ mod tests {
         let mut now = Instant::ZERO;
         cli.start(now);
         for _ in 0..4 {
-            for m in cli.dispatch() {
+            for m in cli.dispatch().collect::<Vec<_>>() {
                 if let Some(reply) = srv.process(&m) {
                     cli.process(now, &reply);
                 }
@@ -416,7 +412,7 @@ mod tests {
         // Fire T1: a unicast-style REQUEST for our own address goes out.
         now = t1;
         cli.on_timer(now);
-        let msgs = cli.dispatch();
+        let msgs: Vec<_> = cli.dispatch().collect();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].message_type, DhcpMessageType::Request);
         assert_eq!(msgs[0].requested_ip, Some(addr));
@@ -435,7 +431,7 @@ mod tests {
         let now = Instant::ZERO;
         cli.start(now);
         for _ in 0..4 {
-            for m in cli.dispatch() {
+            for m in cli.dispatch().collect::<Vec<_>>() {
                 if let Some(reply) = srv.process(&m) {
                     cli.process(now, &reply);
                 }

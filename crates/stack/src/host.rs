@@ -281,9 +281,7 @@ pub struct Host {
     tcp_segs: Vec<TcpSegment>,
     /// Receive queues of closed UDP sockets, handed to the next bind.
     spare_recv: Vec<Vec<(SocketAddrV4, Vec<u8>)>>,
-    /// Scratch for the DHCP client's outgoing messages, and for one
-    /// message's encoding before it is framed.
-    dhcp_out: Vec<DhcpMessage>,
+    /// Scratch for one DHCP message's encoding before it is framed.
     dhcp_wire: Vec<u8>,
 }
 
@@ -323,7 +321,6 @@ impl Host {
             armed_at: None,
             tcp_segs: Vec::new(),
             spare_recv: Vec::new(),
-            dhcp_out: Vec::new(),
             dhcp_wire: Vec::new(),
         }
     }
@@ -359,7 +356,6 @@ impl Host {
         self.next_dccp_remote = old.next_dccp_remote.cleared();
         self.dhcp_servers = old.dhcp_servers.cleared();
         self.tcp_segs = old.tcp_segs.cleared();
-        self.dhcp_out = old.dhcp_out.cleared();
         self.dhcp_wire = old.dhcp_wire.cleared();
     }
 
@@ -546,7 +542,11 @@ impl Host {
         self.udp_bind(port)
     }
 
-    /// Marks a UDP socket as an echo service.
+    /// Marks a UDP socket as an echo service: it sends every datagram it
+    /// receives back to its sender. An echo socket keeps only the latest
+    /// datagram it echoed for [`Host::udp_recv`] (a test reads it back to
+    /// see the translated source), so a long-lived server that nothing
+    /// reads holds one datagram, not every datagram it ever echoed.
     pub fn udp_set_echo(&mut self, h: UdpHandle, on: bool) {
         self.udp_sockets[h.0].as_mut().expect("closed socket").echo = on;
     }
@@ -863,8 +863,7 @@ impl Host {
             let bound = client.lease.is_some();
             let configured = self.ifaces.get(port.0).and_then(|i| i.as_ref());
             let newly_bound = bound && !configured.is_some_and(|i| i.config.is_configured());
-            client.dispatch_into(&mut self.dhcp_out);
-            for msg in self.dhcp_out.drain(..) {
+            for msg in client.dispatch() {
                 let udp = UdpRepr { src_port: CLIENT_PORT, dst_port: SERVER_PORT };
                 let repr = Ipv4Repr::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, Protocol::Udp);
                 self.dhcp_wire.clear();
@@ -872,10 +871,11 @@ impl Host {
                 send_udp(ctx, port, repr, (Ipv4Addr::UNSPECIFIED, udp), &self.dhcp_wire);
             }
             if newly_bound {
-                let lease = self.dhcp_client.as_ref().unwrap().1.lease.clone().unwrap();
+                let lease = client.lease.as_ref().unwrap();
                 let prefix = u32::from(lease.subnet_mask).leading_ones() as u8;
-                self.add_iface(port, IfaceConfig::new(lease.addr, prefix));
-                if lease.router.is_some() {
+                let (addr, routed) = (lease.addr, lease.router.is_some());
+                self.add_iface(port, IfaceConfig::new(addr, prefix));
+                if routed {
                     self.add_default_route(port);
                 }
             }
@@ -1077,7 +1077,19 @@ impl Host {
         if let Some(idx) = idx {
             let s = self.udp_sockets[idx].as_mut().unwrap();
             let echo = s.echo;
-            s.recv.push((src, data.to_vec()));
+            if echo {
+                s.recv.truncate(1);
+            }
+            match s.recv.first_mut() {
+                // The latest datagram replaces the one kept before it, in
+                // that one's buffer.
+                Some((from, kept)) if echo => {
+                    *from = src;
+                    kept.clear();
+                    kept.extend_from_slice(data);
+                }
+                _ => s.recv.push((src, data.to_vec())),
+            }
             if echo {
                 self.udp_send(ctx, UdpHandle(idx), src, data);
             }
@@ -1093,14 +1105,15 @@ impl Host {
         }
     }
 
-    fn handle_tcp(&mut self, ctx: &mut NodeCtx, ip: &Ipv4Packet<&[u8]>, payload: &[u8]) {
-        let Ok(tcp) = TcpPacket::new_checked(payload) else { return };
+    /// Returns whether it ran `poll`, which ends in a reschedule.
+    fn handle_tcp(&mut self, ctx: &mut NodeCtx, ip: &Ipv4Packet<&[u8]>, payload: &[u8]) -> bool {
+        let Ok(tcp) = TcpPacket::new_checked(payload) else { return false };
         if !tcp.verify_checksum(ip.src_addr(), ip.dst_addr()) {
-            return;
+            return false;
         }
         // The checksum was just verified; parse_unverified skips the second
         // full-payload re-read that TcpRepr::parse would perform.
-        let Ok(repr) = TcpRepr::parse_unverified(&tcp) else { return };
+        let Ok(repr) = TcpRepr::parse_unverified(&tcp) else { return false };
         let data = tcp.payload();
         let remote = SocketAddrV4::new(ip.src_addr(), repr.src_port);
         let local = SocketAddrV4::new(ip.dst_addr(), repr.dst_port);
@@ -1108,7 +1121,7 @@ impl Host {
         if let Some(&idx) = self.tcp_table.by_tuple.get(&tuple_key(local, remote)) {
             self.tcp_table.touch(idx).process(ctx.now(), &repr, data);
             self.poll(ctx);
-            return;
+            return true;
         }
         // Listener?
         if repr.flags.contains(TcpFlags::SYN) && !repr.flags.contains(TcpFlags::ACK) {
@@ -1129,7 +1142,7 @@ impl Host {
                 }
                 self.accepted.push(TcpHandle(idx));
                 self.poll(ctx);
-                return;
+                return true;
             }
         }
         // No socket: RST (unless the segment itself is a RST).
@@ -1146,6 +1159,7 @@ impl Host {
             let ip_repr = Ipv4Repr::new(ip.dst_addr(), ip.src_addr(), Protocol::Tcp);
             self.send_ip(ctx, ip_repr, &bytes);
         }
+        false
     }
 
     fn handle_icmp(&mut self, ctx: &mut NodeCtx, ip: &Ipv4Packet<&[u8]>, payload: &[u8]) {
@@ -1454,7 +1468,13 @@ impl Node for Host {
         let payload = ip.payload();
         match ip.protocol() {
             Protocol::Udp => self.handle_udp(ctx, port, &ip, payload),
-            Protocol::Tcp => self.handle_tcp(ctx, &ip, payload),
+            // A second reschedule right after poll's own could only re-arm
+            // a timer that poll armed at or before now.
+            Protocol::Tcp => {
+                if self.handle_tcp(ctx, &ip, payload) {
+                    return;
+                }
+            }
             Protocol::Icmp => self.handle_icmp(ctx, &ip, payload),
             Protocol::Sctp => self.handle_sctp(ctx, &ip, payload),
             Protocol::Dccp => self.handle_dccp(ctx, &ip, payload),

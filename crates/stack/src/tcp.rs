@@ -147,9 +147,12 @@ impl BulkSource {
             } else {
                 // The filler byte at stream position p is `p & 0xFF`, so any
                 // run is a window into a 256-periodic pattern: copy it from
-                // a static table in slices instead of generating per byte.
-                static PATTERN: [u8; 512] = {
-                    let mut t = [0u8; 512];
+                // a static table. The table holds one 2 KiB stamp block (the
+                // probes' interval) past any phase, so such a block's filler
+                // is one copy; longer blocks take several.
+                const SPAN: usize = 2048;
+                static PATTERN: [u8; SPAN + 256] = {
+                    let mut t = [0u8; SPAN + 256];
                     let mut i = 0;
                     while i < t.len() {
                         t[i] = (i & 0xFF) as u8;
@@ -161,7 +164,7 @@ impl BulkSource {
                 let mut done = 0u64;
                 while done < run {
                     let phase = ((pos + done) & 0xFF) as usize;
-                    let n = (run - done).min(256) as usize;
+                    let n = (run - done).min(SPAN as u64) as usize;
                     out.extend_from_slice(&PATTERN[phase..phase + n]);
                     done += n as u64;
                 }

@@ -52,6 +52,34 @@ fn udp_round_trip() {
 }
 
 #[test]
+fn an_echo_socket_keeps_only_the_latest_datagram() {
+    let (mut sim, a, b) = two_hosts();
+    let hb = sim.with_node::<Host, _>(b, |h, _| {
+        let hb = h.udp_bind(7000);
+        h.udp_set_echo(hb, true);
+        hb
+    });
+    let ha = sim.with_node::<Host, _>(a, |h, _| h.udp_bind_ephemeral());
+    for i in 0..1_000u32 {
+        sim.with_node::<Host, _>(a, |h, ctx| {
+            h.udp_send(ctx, ha, SocketAddrV4::new(B_ADDR, 7000), &i.to_be_bytes());
+        });
+        sim.run_for(Duration::from_micros(200));
+    }
+    sim.run_for(Duration::from_millis(10));
+    let (from, data) = sim.with_node::<Host, _>(b, |h, _| h.udp_recv(hb)).expect("latest");
+    assert_eq!(*from.ip(), A_ADDR);
+    assert_eq!(data, 999u32.to_be_bytes());
+    assert_eq!(sim.with_node::<Host, _>(b, |h, _| h.udp_recv(hb)), None);
+    // Every datagram was still echoed: the sender's queue holds all 1 000.
+    let echoed = sim.with_node::<Host, _>(a, |h, _| {
+        std::iter::from_fn(|| h.udp_recv(ha)).map(|(_, d)| d).collect::<Vec<_>>()
+    });
+    assert_eq!(echoed.len(), 1_000);
+    assert_eq!(echoed[999], 999u32.to_be_bytes());
+}
+
+#[test]
 fn udp_echo_replies_from_the_matched_alias_socket() {
     const ALIAS: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 9);
     let (mut sim, a, b) = two_hosts();
@@ -245,7 +273,7 @@ fn dhcp_configures_client_iface() {
             pool_size: 10,
             subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
             router: None,
-            dns_servers: vec![Ipv4Addr::new(10, 0, 3, 1)],
+            dns_servers: hgw_stack::dhcp::DnsServers::from_slice(&[Ipv4Addr::new(10, 0, 3, 1)]),
             lease_secs: 3600,
         },
     );

@@ -22,7 +22,7 @@ use std::net::Ipv4Addr;
 
 use hgw_core::{LinkConfig, NodeCtx, NodeId, PortId};
 use hgw_gateway::{Gateway, GatewayPolicy, LAN_PORT, WAN_PORT};
-use hgw_stack::dhcp::DhcpServerConfig;
+use hgw_stack::dhcp::{DhcpServerConfig, DnsServers};
 use hgw_stack::host::Host;
 use hgw_stack::iface::IfaceConfig;
 
@@ -102,7 +102,7 @@ impl DualNatTestbed {
                     pool_size: 16,
                     subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
                     router: Some(addr),
-                    dns_servers: vec![addr],
+                    dns_servers: DnsServers::from_slice(&[addr]),
                     lease_secs: 7 * 24 * 3600,
                 },
             );

@@ -54,7 +54,7 @@ use std::ops::{Deref, DerefMut};
 
 use hgw_core::{Cleared, LinkConfig, LinkId, NodeCtx, NodeId, PortId};
 use hgw_gateway::{Gateway, GatewayPolicy, LAN_PORT, WAN_PORT};
-use hgw_stack::dhcp::DhcpServerConfig;
+use hgw_stack::dhcp::{DhcpServerConfig, DnsServers};
 use hgw_stack::dns::DnsZone;
 use hgw_stack::host::Host;
 use hgw_stack::iface::IfaceConfig;
@@ -286,7 +286,7 @@ impl Testbed {
                 pool_size: 32,
                 subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
                 router: Some(server_addr),
-                dns_servers: vec![server_addr],
+                dns_servers: DnsServers::from_slice(&[server_addr]),
                 lease_secs: 7 * 24 * 3600,
             },
         );

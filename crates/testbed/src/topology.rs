@@ -31,7 +31,7 @@
 //!     pool_size: 8,
 //!     subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
 //!     router: None,
-//!     dns_servers: vec![],
+//!     dns_servers: Default::default(),
 //!     lease_secs: 3600,
 //! });
 //! let server = b.host("server", server);

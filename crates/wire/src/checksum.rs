@@ -16,19 +16,27 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !fold(sum(data, 0))
 }
 
-/// Running one's-complement sum, resumable via `acc`. Dispatches long
-/// inputs to the wide-word path; `acc` and the result stay in the
-/// big-endian 16-bit-pair space the scalar loop uses.
+/// Running one's-complement sum, resumable via `acc`; `acc` and the result
+/// stay in the big-endian 16-bit-pair space of the `sum_bytewise` oracle.
+/// Three paths, all proven against that oracle (the `wide_*` tests and the
+/// `matches_oracle`/`split_composes` proptests): an option-less 20-byte
+/// IPv4 or TCP header takes five fixed `u32` loads, other inputs under 64
+/// bytes a `u32`-word loop, and longer ones the wide path.
 pub(crate) fn sum(data: &[u8], acc: u32) -> u32 {
+    if let Ok(header) = <&[u8; 20]>::try_from(data) {
+        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap()) as u64;
+        return acc + to_pair_space(word(0) + word(4) + word(8) + word(12) + word(16));
+    }
     if data.len() < 64 {
-        return sum_bytewise(data, acc);
+        return acc + to_pair_space(sum_words(data));
     }
     sum_wide(data, acc)
 }
 
 /// The byte-pair reference loop: two bytes per step, big-endian pairs.
-/// Used directly for short inputs and block tails, and kept as the
-/// differential oracle the wide path is proven against (`wide_*` tests).
+/// Kept as the differential oracle every production path is proven
+/// against; not used on any hot path.
+#[cfg(test)]
 fn sum_bytewise(data: &[u8], mut acc: u32) -> u32 {
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
@@ -40,15 +48,38 @@ fn sum_bytewise(data: &[u8], mut acc: u32) -> u32 {
     acc
 }
 
+/// Little-endian word sum of short inputs and wide-path tails: one `u32`
+/// load per four bytes, the last 1–3 bytes zero-padded into one more word.
+/// The result is in the little-endian space of [`sum_wide`]'s lanes.
+fn sum_words(data: &[u8]) -> u64 {
+    let mut chunks = data.chunks_exact(4);
+    let mut acc = 0u64;
+    for c in &mut chunks {
+        acc += u32::from_le_bytes(c.try_into().unwrap()) as u64;
+    }
+    let rest = chunks.remainder();
+    let mut last = [0u8; 4];
+    last[..rest.len()].copy_from_slice(rest);
+    acc + u32::from_le_bytes(last) as u64
+}
+
+/// Converts a little-endian word accumulator into a big-endian pair-space
+/// value: because the one's-complement sum is byte-order independent
+/// (RFC 1071 §2.B), folding the LE total to 16 bits and byte-swapping it
+/// yields exactly the big-endian pair sum (zero stays zero, so a resumed
+/// sum folds to the same value).
+fn to_pair_space(le: u64) -> u32 {
+    let (lo, carry) = (le as u32).overflowing_add((le >> 32) as u32);
+    fold(lo + carry as u32).swap_bytes() as u32
+}
+
 /// Wide-word one's-complement sum: four independent u128 lanes each
-/// folding u64 loads, 32 bytes per step — straight-line integer adds the
-/// compiler auto-vectorizes. The lanes accumulate *little-endian* 16-bit
-/// words (a `u64` native load on LE hardware); because the one's-complement
-/// sum is byte-order independent (RFC 1071 §2.B), folding the LE total to
-/// 16 bits and byte-swapping it yields exactly the big-endian pair sum the
-/// scalar loop produces. The u128 lanes cannot overflow on any realistic
-/// input (that would take ~2^57 bytes), so unlike the u32 scalar
-/// accumulator this path is safe for arbitrarily large buffers.
+/// folding u64 loads, 32 bytes per step of straight-line integer adds. The
+/// lanes accumulate *little-endian* 16-bit words (a `u64` native load on LE
+/// hardware) and finish through [`to_pair_space`]. The u128 lanes cannot
+/// overflow on any realistic input (that would take ~2^57 bytes), so unlike
+/// a u32 byte-pair accumulator this path is safe for arbitrarily large
+/// buffers.
 fn sum_wide(data: &[u8], acc: u32) -> u32 {
     // Split at a multiple of 32 so every pair in the wide part sits at an
     // even offset (byte-swap equivalence needs intact pairs).
@@ -60,24 +91,28 @@ fn sum_wide(data: &[u8], acc: u32) -> u32 {
         l2 += u64::from_le_bytes(block[16..24].try_into().unwrap()) as u128;
         l3 += u64::from_le_bytes(block[24..32].try_into().unwrap()) as u128;
     }
-    let le_total = fold_wide(l0 + l1 + l2 + l3);
-    sum_bytewise(tail, acc + (le_total.swap_bytes() as u32))
+    let le = fold_wide(l0 + l1 + l2 + l3);
+    // A tail is under 32 bytes, so its word sum is under 2^35: adding it
+    // carries out of the u64 at most once.
+    let (le, carry) = le.overflowing_add(sum_words(tail));
+    acc + to_pair_space(le + carry as u64)
 }
 
-/// Folds a wide one's-complement accumulator to 16 bits with end-around
-/// carries.
-fn fold_wide(mut acc: u128) -> u16 {
-    while acc > 0xFFFF {
-        acc = (acc & 0xFFFF) + (acc >> 16);
-    }
-    acc as u16
+/// Folds a wide one's-complement accumulator to 64 bits with one
+/// end-around carry (2^64 ≡ 1 modulo 0xFFFF, and the sum of two halves
+/// that overflows is at most 2^64 − 2, so adding the carry cannot
+/// overflow again).
+fn fold_wide(acc: u128) -> u64 {
+    let (lo, carry) = (acc as u64).overflowing_add((acc >> 64) as u64);
+    lo + carry as u64
 }
 
-fn fold(mut acc: u32) -> u16 {
-    while acc > 0xFFFF {
-        acc = (acc & 0xFFFF) + (acc >> 16);
-    }
-    acc as u16
+/// Folds a u32 accumulator to 16 bits with end-around carries. Two fixed
+/// steps always suffice: the first leaves at most 0x1_FFFE, and the second
+/// adds a carry of at most 1 to a low half of at most 0xFFFE.
+fn fold(acc: u32) -> u16 {
+    let acc = (acc & 0xFFFF) + (acc >> 16);
+    ((acc & 0xFFFF) + (acc >> 16)) as u16
 }
 
 /// An RFC 1624 incremental checksum update: the accumulated `~m + m'`
@@ -147,8 +182,8 @@ pub fn checksum_adjust(checksum: u16, old: u16, new: u16) -> u16 {
 }
 
 /// Appends `data` to `out` and returns its one's-complement byte-pair sum
-/// in one fused pass — the bulk-path kernel that replaces "copy, then
-/// re-read everything to checksum it".
+/// — the bulk-path kernel: the payload is summed as it is copied, so a
+/// segment is never re-read later to fill its checksum.
 ///
 /// The returned value is a running accumulator in the same big-endian
 /// 16-bit-pair space as the rest of this module, computed as if `data`
@@ -158,28 +193,15 @@ pub fn checksum_adjust(checksum: u16, old: u16, new: u16) -> u16 {
 /// ([`swap_pair_sum`]) — the standard RFC 1071 §2.B identity. Finish a
 /// composed transport sum with [`finish_transport_checksum`].
 ///
-/// The wide path mirrors `internet_checksum`'s: four u128 lanes of u64
-/// little-endian loads (32 bytes per step) with the copy interleaved per
-/// block, proven against the copy-then-bytewise oracle in both unit tests
-/// and proptests over odd lengths, chunk splits, and >64 KiB payloads.
+/// The copy is one `extend_from_slice` (a plain memcpy), followed by the
+/// same sum as [`internet_checksum`] over the still-cached source: a loop
+/// interleaving the copy per 32-byte block pays a `Vec` capacity check on
+/// every block and is slower (DESIGN.md §12). Proven against the
+/// copy-then-bytewise oracle in unit tests and proptests over odd lengths,
+/// chunk splits, and >64 KiB payloads.
 pub fn copy_and_checksum(data: &[u8], out: &mut Vec<u8>) -> u32 {
-    if data.len() < 64 {
-        out.extend_from_slice(data);
-        return sum_bytewise(data, 0);
-    }
-    out.reserve(data.len());
-    let (wide, tail) = data.split_at(data.len() & !31);
-    let (mut l0, mut l1, mut l2, mut l3) = (0u128, 0u128, 0u128, 0u128);
-    for block in wide.chunks_exact(32) {
-        l0 += u64::from_le_bytes(block[0..8].try_into().unwrap()) as u128;
-        l1 += u64::from_le_bytes(block[8..16].try_into().unwrap()) as u128;
-        l2 += u64::from_le_bytes(block[16..24].try_into().unwrap()) as u128;
-        l3 += u64::from_le_bytes(block[24..32].try_into().unwrap()) as u128;
-        out.extend_from_slice(block);
-    }
-    let acc = (fold_wide(l0 + l1 + l2 + l3).swap_bytes()) as u32;
-    out.extend_from_slice(tail);
-    sum_bytewise(tail, acc)
+    out.extend_from_slice(data);
+    sum(data, 0)
 }
 
 /// Byte-swaps a pair-space accumulator, re-aligning a sum computed at an
@@ -382,7 +404,9 @@ mod tests {
     #[test]
     fn wide_matches_bytewise_all_lengths_and_offsets() {
         // Every split phase around the 64-byte wide threshold and the
-        // 32-byte block size, at every alignment and odd/even length.
+        // 32-byte block size, at every alignment and odd/even length: the
+        // fixed 20-byte path, the short word loop and the wide path with
+        // every tail length.
         let data = lcg_fill(400, 7);
         for start in 0..8 {
             for len in 0..data.len() - start {
@@ -400,6 +424,24 @@ mod tests {
                 );
             }
         }
+        // All-ones words maximize the fixed and short paths' carries; the
+        // running accs include a one's-complement zero (0xFFFF) and one
+        // already past 16 bits, as a composed transport sum is.
+        let ones = [0xFFu8; 134];
+        for input in [&data[..134], &ones[..]] {
+            for start in 0..4 {
+                for len in 0..=130 {
+                    let slice = &input[start..start + len];
+                    for acc in [0x1234, 0xFFFF, 0x0003_FFFD] {
+                        assert_eq!(
+                            fold(sum(slice, acc)),
+                            fold(sum_bytewise(slice, acc)),
+                            "len={len} start={start} acc={acc:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -414,6 +456,10 @@ mod tests {
         let mut data = vec![0xFFu8; 1460];
         data[730] = 0x00;
         assert_eq!(internet_checksum(&data), oracle_checksum(&data));
+        // The two-step u32 fold agrees with the looping fold at its edges.
+        for acc in [0u32, 0xFFFF, 0x1_0000, 0x1_FFFE, 0xFFFE_FFFF, 0xFFFF_0000, u32::MAX] {
+            assert_eq!(fold(acc), fold64(acc as u64), "acc={acc:#x}");
+        }
     }
 
     #[test]
@@ -636,20 +682,41 @@ mod tests {
         proptest! {
             /// Fused copy+sum equals copy-then-bytewise-oracle for any
             /// payload, including odd lengths and >64 KiB buffers.
+            /// The same holds for `sum` resumed from any running acc, on
+            /// a short prefix (0–130 bytes, any of the first four offsets:
+            /// the fixed 20-byte and word-loop paths) as on the whole.
             #[test]
-            fn matches_oracle(seed in any::<u64>(), len in 0usize..70_000) {
+            fn matches_oracle(
+                seed in any::<u64>(),
+                len in 0usize..70_000,
+                acc in 1u32..0x0010_0000,
+                short in 0usize..131,
+                offset in 0usize..4,
+            ) {
                 let data = lcg_fill(len, seed);
                 let (mut fused, mut plain) = (Vec::new(), Vec::new());
-                let acc = copy_and_checksum(&data, &mut fused);
+                let sum_acc = copy_and_checksum(&data, &mut fused);
                 let oracle = copy_then_oracle_sum(&data, &mut plain);
                 prop_assert_eq!(fused, plain);
-                prop_assert_eq!(fold(acc), fold64(oracle));
+                prop_assert_eq!(fold(sum_acc), fold64(oracle));
+                prop_assert_eq!(fold(sum(&data, acc)), fold(sum_bytewise(&data, acc)));
+                let head = lcg_fill(short + offset, seed);
+                let head = &head[offset..];
+                prop_assert_eq!(fold(sum(head, acc)), fold(sum_bytewise(head, acc)));
             }
 
             /// Splitting at any chunk boundary and composing with the
             /// parity-swap identity reproduces the unsplit sum.
+            /// Resuming `sum` from the first part's acc equals composing,
+            /// also for a short input cut at any even offset (a 20-byte
+            /// header followed by a payload is one such split).
             #[test]
-            fn split_composes(seed in any::<u64>(), len in 2usize..20_000, cut in 0usize..20_000) {
+            fn split_composes(
+                seed in any::<u64>(),
+                len in 2usize..20_000,
+                cut in 0usize..20_000,
+                short in 0usize..131,
+            ) {
                 let data = lcg_fill(len, seed);
                 let cut = cut % (len + 1);
                 let mut out = Vec::new();
@@ -658,6 +725,10 @@ mod tests {
                 let composed = a + if cut % 2 == 0 { b } else { swap_pair_sum(b) };
                 prop_assert_eq!(&out, &data);
                 prop_assert_eq!(fold(composed), fold(sum_bytewise(&data, 0)));
+                let short = &data[..short.min(len)];
+                let cut = (cut % (short.len() + 1)) & !1;
+                let resumed = sum(&short[cut..], sum(&short[..cut], 0));
+                prop_assert_eq!(fold(resumed), fold(sum_bytewise(short, 0)));
             }
         }
     }

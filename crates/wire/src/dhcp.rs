@@ -57,6 +57,81 @@ impl DhcpMessageType {
     }
 }
 
+/// The most addresses one option-6 body can carry: its length octet allows
+/// 255 bytes, and each address takes four.
+pub const MAX_DNS_SERVERS: usize = 63;
+
+/// An option-6 DNS server list held inline, so that parsing, cloning and
+/// leasing a DHCP message never allocate. Its capacity,
+/// [`MAX_DNS_SERVERS`], is everything one option can carry, so parsing
+/// stays lossless. Reads as a slice of addresses.
+#[derive(Clone, Copy)]
+pub struct DnsServers {
+    addrs: [Ipv4Addr; MAX_DNS_SERVERS],
+    len: u8,
+}
+
+impl DnsServers {
+    /// An empty list.
+    pub const fn new() -> DnsServers {
+        DnsServers { addrs: [Ipv4Addr::UNSPECIFIED; MAX_DNS_SERVERS], len: 0 }
+    }
+
+    fn push(&mut self, addr: Ipv4Addr) {
+        assert!((self.len as usize) < MAX_DNS_SERVERS, "more DNS servers than option 6 carries");
+        self.addrs[self.len as usize] = addr;
+        self.len += 1;
+    }
+
+    /// A list holding `addrs`.
+    ///
+    /// # Panics
+    ///
+    /// If `addrs` holds more than [`MAX_DNS_SERVERS`] addresses (so does
+    /// collecting that many).
+    pub fn from_slice(addrs: &[Ipv4Addr]) -> DnsServers {
+        addrs.iter().copied().collect()
+    }
+}
+
+impl Default for DnsServers {
+    fn default() -> DnsServers {
+        DnsServers::new()
+    }
+}
+
+impl std::ops::Deref for DnsServers {
+    type Target = [Ipv4Addr];
+
+    fn deref(&self) -> &[Ipv4Addr] {
+        &self.addrs[..self.len as usize]
+    }
+}
+
+impl FromIterator<Ipv4Addr> for DnsServers {
+    fn from_iter<I: IntoIterator<Item = Ipv4Addr>>(iter: I) -> DnsServers {
+        let mut list = DnsServers::new();
+        for addr in iter {
+            list.push(addr);
+        }
+        list
+    }
+}
+
+impl PartialEq for DnsServers {
+    fn eq(&self, other: &DnsServers) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DnsServers {}
+
+impl std::fmt::Debug for DnsServers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A parsed DHCP message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DhcpMessage {
@@ -85,7 +160,7 @@ pub struct DhcpMessage {
     /// Option 3: default router.
     pub router: Option<Ipv4Addr>,
     /// Option 6: DNS servers.
-    pub dns_servers: Vec<Ipv4Addr>,
+    pub dns_servers: DnsServers,
 }
 
 impl DhcpMessage {
@@ -104,7 +179,7 @@ impl DhcpMessage {
             lease_secs: None,
             subnet_mask: None,
             router: None,
-            dns_servers: Vec::new(),
+            dns_servers: DnsServers::new(),
         }
     }
 
@@ -153,7 +228,7 @@ impl DhcpMessage {
         if !self.dns_servers.is_empty() {
             buf.push(6);
             buf.push((self.dns_servers.len() * 4) as u8);
-            for a in &self.dns_servers {
+            for a in self.dns_servers.iter() {
                 buf.extend_from_slice(&a.octets());
             }
         }
@@ -185,7 +260,7 @@ impl DhcpMessage {
             lease_secs: None,
             subnet_mask: None,
             router: None,
-            dns_servers: Vec::new(),
+            dns_servers: DnsServers::new(),
         };
         let mut saw_type = false;
         let mut opts = &data[FIXED_LEN + 4..];
@@ -275,7 +350,8 @@ mod tests {
         msg.lease_secs = Some(86_400);
         msg.subnet_mask = Some(Ipv4Addr::new(255, 255, 255, 0));
         msg.router = Some(Ipv4Addr::new(192, 168, 1, 1));
-        msg.dns_servers = vec![Ipv4Addr::new(192, 168, 1, 1), Ipv4Addr::new(10, 0, 0, 53)];
+        msg.dns_servers =
+            DnsServers::from_slice(&[Ipv4Addr::new(192, 168, 1, 1), Ipv4Addr::new(10, 0, 0, 53)]);
         assert_eq!(DhcpMessage::parse(&msg.emit()).unwrap(), msg);
     }
 

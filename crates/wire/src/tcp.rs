@@ -659,6 +659,41 @@ mod tests {
     }
 
     #[test]
+    fn option_headers_checksum_through_the_generic_path() {
+        // An IPv4 header with IHL > 5 and a TCP header with options are not
+        // 20 bytes long, so their sums take the generic path instead of the
+        // fixed 20-byte one: they must still verify, catch a flipped bit in
+        // an option byte, and verify again after a fill.
+        use crate::ip::{Ipv4Option, Ipv4Packet, Ipv4Repr};
+        let mut ip = Ipv4Repr::new(SRC, DST, Protocol::Tcp);
+        ip.options.push(Ipv4Option::RecordRoute { pointer: 4, data: vec![0u8; 12] });
+        let tcp = syn_repr();
+        let payload = [0x5Au8; 37];
+        let (ihl, thl) = (ip.header_len(), tcp.header_len());
+        assert_eq!((ihl, thl), (36, 24));
+        let mut frame = vec![0u8; ihl + thl + payload.len()];
+        frame[ihl + thl..].copy_from_slice(&payload);
+        ip.write_header(thl + payload.len(), &mut frame[..ihl]);
+        let mut copied = Vec::new();
+        let payload_sum = copy_and_checksum(&payload, &mut copied);
+        tcp.write_header_with_sum(SRC, DST, payload.len(), payload_sum, &mut frame[ihl..]);
+        assert!(Ipv4Packet::new_checked(&frame[..]).unwrap().verify_checksum());
+        assert!(TcpPacket::new_checked(&frame[ihl..]).unwrap().verify_checksum(SRC, DST));
+        assert_eq!(tcp.emit_with_payload(SRC, DST, &payload), frame[ihl..]);
+
+        frame[22] ^= 0x10; // inside the record-route option
+        frame[ihl + 22] ^= 0x01; // inside the MSS option
+        let mut packet = Ipv4Packet::new_unchecked(&mut frame[..]);
+        assert!(!packet.verify_checksum());
+        packet.fill_checksum();
+        assert!(packet.verify_checksum());
+        let mut segment = TcpPacket::new_unchecked(&mut frame[ihl..]);
+        assert!(!segment.verify_checksum(SRC, DST));
+        segment.fill_checksum(SRC, DST);
+        assert!(segment.verify_checksum(SRC, DST));
+    }
+
+    #[test]
     fn emit_parse_roundtrip_syn_with_mss() {
         let repr = syn_repr();
         let buf = repr.emit_with_payload(SRC, DST, &[]);

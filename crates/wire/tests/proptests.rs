@@ -258,7 +258,7 @@ proptest! {
         your in arb_addr(),
         router in arb_addr(),
         lease in any::<u32>(),
-        n_dns in 0usize..4,
+        n_dns in 0usize..64,
     ) {
         let mut msg = DhcpMessage::discover(xid, chaddr);
         msg.message_type = DhcpMessageType::Ack;

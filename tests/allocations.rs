@@ -197,6 +197,7 @@ fn a_recycled_fleet_worker_runs_a_udp1_device_almost_heap_free() {
     let per_device = (marks[WARM + MEASURED - 1] - marks[WARM - 1]) as f64 / MEASURED as f64;
     eprintln!("recycled UDP-1 device: {per_device:.1} allocations");
     // With a fresh testbed per device (only frame buffers recycled) a
-    // device made 241.
-    assert!(per_device <= 60.0, "a UDP-1 device made {per_device:.1} allocations");
+    // device made 241, and 43.5 while DHCP's DNS server lists were `Vec`s;
+    // it makes 27.5 now, gated with the same 38 % margin as before.
+    assert!(per_device <= 38.0, "a UDP-1 device made {per_device:.1} allocations");
 }
