@@ -286,6 +286,42 @@ fn bench_nat_table(results: &mut Vec<MicroResult>) {
     });
 }
 
+/// The TCP-4 re-time path, one device's ramp per iteration: a cleared
+/// table takes 256 TCP bindings 4 ms apart, each refreshed by its SYN-ACK,
+/// while two earlier bindings are refreshed both ways at every step (the
+/// ramp crosses a second of the quantized idle timeout, so these re-time
+/// too). Then every binding is torn down, alternately by a FIN pair (the
+/// 10 s linger) and by a RST. Creations in one second of the timeout,
+/// lingers and RSTs are the expiry inserts a TCP-4 ramp makes.
+fn bench_nat_retime(results: &mut Vec<MicroResult>) {
+    let (mut nat, p) = nat_with_bindings(0);
+    let remote = (Ipv4Addr::new(10, 0, 1, 1), 80);
+    let port = |i: u16| 10_000 + i;
+    let lan = |i: u16| (Ipv4Addr::new(192, 168, 1, 100), port(i));
+    bench(results, "nat", "retime_256_bindings", None, || {
+        nat.clear();
+        let mut now = hgw_core::Instant::ZERO;
+        for i in 0..256 {
+            now += hgw_core::Duration::from_millis(4);
+            nat.outbound(now, &p, NatProto::Tcp, lan(i), remote, false, false);
+            nat.inbound(now, &p, NatProto::Tcp, port(i), remote, false, false);
+            for j in [i / 2, i / 3] {
+                nat.outbound(now, &p, NatProto::Tcp, lan(j), remote, false, false);
+                nat.inbound(now, &p, NatProto::Tcp, port(j), remote, false, false);
+            }
+        }
+        for i in 0..256 {
+            now += hgw_core::Duration::from_millis(1);
+            let fin = i % 2 == 0;
+            nat.outbound(now, &p, NatProto::Tcp, lan(i), remote, fin, !fin);
+            if fin {
+                nat.inbound(now, &p, NatProto::Tcp, port(i), remote, true, false);
+            }
+        }
+        nat.stats().bindings_expired
+    });
+}
+
 /// A node that perpetually re-arms a timer, so every `Simulator::step`
 /// performs exactly one pop + dispatch + re-arm cycle. This isolates the
 /// engine's per-event overhead (queue ops, scratch action buffer, callback
@@ -580,6 +616,7 @@ fn main() {
     bench_checksums(&mut results);
     bench_wire(&mut results);
     bench_nat_table(&mut results);
+    bench_nat_retime(&mut results);
     bench_timer(&mut results);
     bench_near_inserts(&mut results);
     bench_simulation(&mut results);

@@ -85,6 +85,25 @@ impl Instant {
     pub fn saturating_add(&self, d: Duration) -> Instant {
         Instant { nanos: self.nanos.saturating_add(d.as_nanos()) }
     }
+
+    /// The earlier of two optional deadlines, `None` meaning "no deadline"
+    /// (unlike `Option::min`, which would pick the `None`).
+    ///
+    /// ```
+    /// use hgw_core::Instant;
+    /// let (a, b) = (Some(Instant::from_millis(5)), Some(Instant::from_millis(3)));
+    /// assert_eq!(Instant::earliest(a, b), b);
+    /// assert_eq!(Instant::earliest(a, None), a);
+    /// assert_eq!(Instant::earliest(None, None), None);
+    /// ```
+    #[inline]
+    pub fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        }
+    }
 }
 
 impl fmt::Display for Instant {

@@ -1,5 +1,4 @@
-//! A hierarchical timing wheel: the simulator's event queue and the NAT
-//! table's expiry queues.
+//! A hierarchical timing wheel: the simulator's event queue.
 //!
 //! A `BinaryHeap` pays `O(log n)` in comparisons *and* in moves of the
 //! stored payload on every push and pop, and the heap's sift paths are
@@ -8,8 +7,8 @@
 //! eleven levels of 64 slots, six bits of the deadline per level, cover the
 //! full `u64` nanosecond timeline. An entry lands at the level of the
 //! highest bit in which its deadline differs from the wheel's cursor, so
-//! near deadlines sit in fine slots and hour-scale NAT timeouts (the UDP-1
-//! binary search's 2-hour horizon) sit in coarse ones; as the cursor
+//! near deadlines sit in fine slots and hour-scale timers (a DHCP lease,
+//! the UDP-1 binary search's 2-hour waits) sit in coarse ones; as the cursor
 //! advances, coarse slots cascade down into finer ones. Filing into a slot
 //! is `O(1)`; pop is amortized `O(1)` with a worst case bounded by the
 //! cascade depth (11 levels). An entry that lands at or behind the cursor
@@ -20,8 +19,8 @@
 //! Determinism contract (see DESIGN.md §11): entries pop in strictly
 //! ascending `(at, seq)` order — exactly the order the `BinaryHeap`
 //! scheduler produced with its `(at, seq)` tie-break — provided `seq`
-//! values are handed out in increasing order, which both the simulator and
-//! the NAT table do. The wheel is proven equivalent to a `BinaryHeap`
+//! values are handed out in increasing order, which the simulator does.
+//! The wheel is proven equivalent to a `BinaryHeap`
 //! oracle over randomized schedules in this module's tests.
 //!
 //! Same-tick ordering holds *by construction*, not by sorting: a slot only
@@ -42,9 +41,10 @@ const LEVELS: usize = 11;
 /// may jump the cursor and join the `due` run (see [`TimerWheel::insert`])
 /// only while the run holds fewer than this many entries; past it, such
 /// inserts file into slots. Inserts at or *behind* the cursor always join
-/// the run, so the run itself is unbounded — a 256-connection TCP-4 ramp
-/// grows it past 500 entries. Its cost stays low because it is kept in
-/// descending order: the inserts and pops touch only its near end.
+/// the run, so nothing bounds the run itself, but the event queue keeps it
+/// short: it peaks at 27 entries in a 256-connection TCP-4 ramp. Its cost
+/// stays low because it is kept in descending order: the inserts and pops
+/// touch only its near end.
 const SORTED_CAP: usize = 32;
 
 #[derive(Debug)]
@@ -160,8 +160,7 @@ impl<T> TimerWheel<T> {
         // simulator's event loop actually runs at: a bulk TCP transfer
         // keeps ~4-10 near events outstanding below far-future RTO and
         // lease timers. The length cap bounds the shift this front insert
-        // pays, and hands high-occupancy regimes (NAT tables holding
-        // hundreds of bindings) to slot filing.
+        // pays, and hands deep queues to slot filing.
         let gate = match self.levels.trailing_zeros() as usize {
             l if l >= LEVELS => u64::MAX,
             lowest => (1u64 << (LEVEL_BITS * lowest as u32)) - 1,

@@ -1245,7 +1245,7 @@ impl Gateway {
         let dhcp = self.dhcp_client.poll_at();
         let lan = self.proxy_conns.iter().flatten().filter_map(|c| c.sock.poll_at()).min();
         let up = self.upstream_conns.iter().flatten().filter_map(|c| c.sock.poll_at()).min();
-        [dhcp, lan, up].into_iter().flatten().min()
+        Instant::earliest(dhcp, Instant::earliest(lan, up))
     }
 
     fn reschedule(&mut self, ctx: &mut NodeCtx) {

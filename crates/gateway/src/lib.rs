@@ -14,6 +14,7 @@ pub mod engine;
 pub mod gateway;
 pub mod nat;
 pub mod policy;
+mod runs;
 
 pub use engine::{ForwardingEngine, FwdDir};
 pub use gateway::{Gateway, GatewayStats, LAN_PORT, WAN_PORT};

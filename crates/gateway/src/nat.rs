@@ -13,13 +13,15 @@
 //! - hash indices keyed by the exact session 5-tuple, by `(proto, internal)`
 //!   (mapping reuse), and by `(proto, external_port)` (inbound, collisions);
 //! - per-proto live counters replacing the `count()` filter scan;
-//! - a time-ordered expiry queue — a [`TimerWheel`] with lazy
-//!   cancellation (see DESIGN.md §11) — so [`NatTable::sweep`] touches
-//!   only bindings that are actually due, instead of scanning the whole
-//!   table;
+//! - a time-ordered expiry queue with lazy cancellation, so
+//!   [`NatTable::sweep`] touches only bindings that are actually due,
+//!   instead of scanning the whole table. It is a run queue (`runs.rs`,
+//!   DESIGN.md §11): every deadline the table hands out is one of a few
+//!   non-decreasing functions of the clock, so a refresh, FIN linger or
+//!   RST appends to one of a few sorted runs in O(1), however many
+//!   bindings are live;
 //! - an exact-match quarantine index over recently expired flows with its
-//!   own wheel-backed, time-ordered pruning queue (the UDP-4
-//!   reuse-vs-quarantine memory).
+//!   own run-queue pruning queue (the UDP-4 reuse-vs-quarantine memory).
 //!
 //! The pre-index implementation is retained under `reference` (test-only)
 //! and driven side-by-side over randomized policy/flow sequences to pin the
@@ -29,10 +31,11 @@ use std::net::Ipv4Addr;
 
 use hgw_core::{
     BindingLifecycle, Cleared, DropReason, Duration, FixedMap, FlowId, Instant, LifecycleCounts,
-    LifecycleEvent, TimerWheel,
+    LifecycleEvent,
 };
 
 use crate::policy::{EndpointScope, GatewayPolicy, PortAssignment, TrafficPattern};
+use crate::runs::RunQueue;
 
 /// The transports the NAT keeps per-flow state for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,14 +197,14 @@ pub struct NatTable {
     by_internal: FixedMap<(NatProto, Endpoint), Vec<u64>>,
     /// External index: `(proto, external_port)` → ids sharing the mapping.
     by_external: FixedMap<(NatProto, u16), Vec<u64>>,
-    /// Time-ordered expiry queue over live bindings: a timing wheel of
+    /// Time-ordered expiry queue over live bindings: a run queue of
     /// `(expires_at, binding id)` entries with *lazy cancellation*. A
     /// binding that is removed or re-timed leaves its old entry behind;
     /// [`NatTable::sweep`] filters stale entries when they surface (an
     /// entry is live iff its id still exists and the binding's current
     /// `expires_at` matches the entry's deadline). Ids are never reused,
     /// so a stale entry can never impersonate a live one.
-    expiry: TimerWheel<u64>,
+    expiry: RunQueue<u64>,
     /// Live binding count per transport (indexed by [`proto_idx`]).
     live: [usize; 3],
     next_id: u64,
@@ -212,10 +215,10 @@ pub struct NatTable {
     /// Time-ordered pruning queue over quarantine entries, keyed by the
     /// expiry instant of the underlying binding. Entries are never
     /// cancelled, only pruned in order, so no lazy filtering is needed.
-    quarantine_by_time: TimerWheel<QuarantineKey>,
-    /// Monotonic insertion counter shared by both timing wheels (their
+    quarantine_by_time: RunQueue<QuarantineKey>,
+    /// Monotonic insertion counter shared by both queues (their
     /// deterministic same-instant tie-break).
-    wheel_seq: u64,
+    queue_seq: u64,
     next_seq_port: u16,
     stats: NatStats,
     /// `(time, live bindings)` samples taken whenever occupancy changes,
@@ -268,12 +271,12 @@ impl NatTable {
             by_session: FixedMap::default(),
             by_internal: FixedMap::default(),
             by_external: FixedMap::default(),
-            expiry: TimerWheel::new(),
+            expiry: RunQueue::new(),
             live: [0; 3],
             next_id: 0,
             quarantine: FixedMap::default(),
-            quarantine_by_time: TimerWheel::new(),
-            wheel_seq: 0,
+            quarantine_by_time: RunQueue::new(),
+            queue_seq: 0,
             next_seq_port: SEQ_BASE,
             stats: NatStats::default(),
             occupancy_log: Vec::new(),
@@ -287,8 +290,8 @@ impl NatTable {
     }
 
     /// Empties the table back to the state [`NatTable::new`] returns,
-    /// keeping only the capacity of its containers (maps, slab, wheels,
-    /// buckets) for the next device a fleet worker runs. The index maps
+    /// keeping only the capacity of its containers (maps, slab, queue
+    /// runs, buckets) for the next device a fleet worker runs. The index maps
     /// are never iterated, so a cleared map's bucket layout — which
     /// differs from a fresh map's — is unobservable.
     pub fn clear(&mut self) {
@@ -412,10 +415,10 @@ impl NatTable {
         self.live[proto_idx(proto)]
     }
 
-    /// Next tie-break seq for a wheel insert.
-    fn next_wheel_seq(&mut self) -> u64 {
-        let s = self.wheel_seq;
-        self.wheel_seq += 1;
+    /// Next tie-break seq for a queue insert.
+    fn next_queue_seq(&mut self) -> u64 {
+        let s = self.queue_seq;
+        self.queue_seq += 1;
         s
     }
 
@@ -430,7 +433,7 @@ impl NatTable {
         let mut bucket = || spares.pop().unwrap_or_default();
         self.by_internal.entry((b.proto, b.internal)).or_insert_with(&mut bucket).push(id);
         self.by_external.entry((b.proto, b.external_port)).or_insert_with(bucket).push(id);
-        let seq = self.next_wheel_seq();
+        let seq = self.next_queue_seq();
         self.expiry.insert(b.expires_at.as_nanos(), seq, id);
         self.live[proto_idx(b.proto)] += 1;
         self.bindings.push(b);
@@ -465,13 +468,13 @@ impl NatTable {
                 self.spare_buckets.extend(self.by_external.remove(&ekey));
             }
         }
-        // The binding's expiry-wheel entry stays behind; `sweep` discards
+        // The binding's expiry-queue entry stays behind; `sweep` discards
         // it as stale (lazy cancellation — the id no longer resolves).
         self.live[proto_idx(b.proto)] -= 1;
         b
     }
 
-    /// Moves the binding at `pos` to a new expiry time. The old wheel
+    /// Moves the binding at `pos` to a new expiry time. The old queue
     /// entry is left behind (stale: its deadline no longer matches the
     /// binding); only the entry matching the binding's current
     /// `expires_at` is honored by `sweep`.
@@ -481,7 +484,7 @@ impl NatTable {
         if old == expires_at {
             return;
         }
-        let seq = self.next_wheel_seq();
+        let seq = self.next_queue_seq();
         self.expiry.insert(expires_at.as_nanos(), seq, id);
         self.bindings[pos].expires_at = expires_at;
     }
@@ -490,7 +493,7 @@ impl NatTable {
     /// current time before any lookup. Cost is proportional to the number
     /// of bindings actually due, not the table size.
     pub fn sweep(&mut self, now: Instant) {
-        // Current slab positions of every binding that is due. Stale wheel
+        // Current slab positions of every binding that is due. Stale queue
         // entries (the binding was removed, or re-timed so its live
         // deadline differs from the entry's) surface here and are simply
         // discarded; duplicate deadlines for one binding dedupe below.
@@ -533,7 +536,7 @@ impl NatTable {
             );
             let key = (b.proto, b.internal, b.remote, b.external_port);
             *self.quarantine.entry(key).or_insert(0) += 1;
-            let seq = self.next_wheel_seq();
+            let seq = self.next_queue_seq();
             self.quarantine_by_time.insert(b.expires_at.as_nanos(), seq, key);
             self.trace_push(
                 now,
@@ -1855,6 +1858,87 @@ mod differential {
             s.bindings_created,
             "seed {seed}"
         );
+    }
+
+    /// The TCP-4 shape: a ramp to 256 live TCP bindings, each refreshed by
+    /// traffic both ways while the ramp runs, then torn down by FIN/FIN
+    /// (the 10 s linger) or by a RST from either side. Every deadline is
+    /// the quantized idle timeout, `now + 10 s` or `now`, so the expiry
+    /// queue holds at most three runs, and every sweep on the way agrees
+    /// with the linear oracle.
+    #[test]
+    fn tcp4_ramp_keeps_the_expiry_queue_to_a_few_runs() {
+        let mut p = GatewayPolicy::well_behaved();
+        p.mapping = EndpointScope::AddressAndPortDependent;
+        let mut rng = SimRng::new(0x7C94);
+        let mut new = NatTable::new();
+        let mut oracle = LinearNatTable::new();
+        new.enable_lifecycle_tracing();
+        oracle.enable_lifecycle_tracing();
+        let server = (Ipv4Addr::new(10, 0, 1, 1), 80);
+        let mut now = Instant::ZERO;
+        let mut ports: Vec<(Endpoint, u16)> = Vec::new();
+        let mut peak_runs = 0;
+        type Flow = (Endpoint, u16);
+        let step =
+            |new: &mut NatTable, oracle: &mut LinearNatTable, now, flow: Flow, lan, fin, rst| {
+                let (internal, external) = flow;
+                if lan {
+                    let a = new.outbound(now, &p, NatProto::Tcp, internal, server, fin, rst);
+                    let b = oracle.outbound(now, &p, NatProto::Tcp, internal, server, fin, rst);
+                    assert_eq!(a, b, "outbound at {now:?}");
+                    match a {
+                        OutboundVerdict::Translated { external_port, .. } => external_port,
+                        OutboundVerdict::NoCapacity => panic!("the ramp stays under the cap"),
+                    }
+                } else {
+                    let a = new.inbound(now, &p, NatProto::Tcp, external, server, fin, rst);
+                    let b = oracle.inbound(now, &p, NatProto::Tcp, external, server, fin, rst);
+                    assert_eq!(a, b, "inbound at {now:?}");
+                    assert_eq!(a, InboundVerdict::Accept { internal });
+                    external
+                }
+            };
+        for i in 0..256u16 {
+            now += Duration::from_millis(1 + rng.below(8));
+            let internal = (Ipv4Addr::new(192, 168, 1, 100), 10_000 + i);
+            let external = step(&mut new, &mut oracle, now, (internal, 0), true, false, false);
+            ports.push((internal, external));
+            step(&mut new, &mut oracle, now, (internal, external), false, false, false);
+            for _ in 0..4 {
+                let flow = ports[rng.below(ports.len() as u64) as usize];
+                step(&mut new, &mut oracle, now, flow, rng.chance(0.5), false, false);
+            }
+            peak_runs = peak_runs.max(new.expiry.run_count());
+        }
+        // Teardown in random order: a third by RST, the rest by FIN/FIN.
+        while !ports.is_empty() {
+            now += Duration::from_millis(1 + rng.below(40));
+            let flow = ports.swap_remove(rng.below(ports.len() as u64) as usize);
+            if rng.below(3) == 0 {
+                step(&mut new, &mut oracle, now, flow, rng.chance(0.5), false, true);
+            } else {
+                step(&mut new, &mut oracle, now, flow, true, true, false);
+                step(&mut new, &mut oracle, now, flow, false, true, false);
+                step(&mut new, &mut oracle, now, flow, true, false, false);
+            }
+            peak_runs = peak_runs.max(new.expiry.run_count());
+            if ports.len().is_multiple_of(16) {
+                new.sweep(now);
+                oracle.sweep(now);
+                assert_same_state(&new, &oracle, &format!("teardown at {now:?}"));
+            }
+        }
+        assert!((2..=3).contains(&peak_runs), "the expiry queue peaked at {peak_runs} runs");
+        now += TCP_FIN_LINGER;
+        new.sweep(now);
+        oracle.sweep(now);
+        assert_same_state(&new, &oracle, "after the lingers ran out");
+        assert!(new.bindings().is_empty());
+        assert_eq!(new.stats().bindings_expired, 256);
+        // The stale entries of re-timed bindings leave as their deadlines pass.
+        new.sweep(now + p.tcp_timeout + Duration::from_secs(1));
+        assert_eq!((new.expiry.len(), new.expiry.run_count()), (0, 0));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`Simulator::with_node`](hgw_core::Simulator::with_node).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
 use hgw_core::{impl_node_downcast, Cleared, FixedMap, Instant, Node, NodeCtx, PortId, TimerToken};
@@ -88,13 +88,15 @@ struct UdpSocketState {
 const EPHEMERAL_BASE: u16 = 49_152;
 
 /// Per-slot bookkeeping of the [`TcpTable`].
-#[derive(Default)]
 struct TcpSlotMeta {
     /// The slot is in [`TcpTable::dirty`].
     dirty: bool,
-    /// The key the slot is filed under in [`TcpTable::deadlines`], if any.
-    deadline: Option<Instant>,
+    /// The slot's position in [`TcpTable::deadlines`], or [`UNFILED`].
+    heap_pos: usize,
 }
+
+/// [`TcpSlotMeta::heap_pos`] of a slot that is not in the deadline heap.
+const UNFILED: usize = usize::MAX;
 
 /// The TCP sockets of a host plus the indices that keep the cost of one
 /// inbound segment independent of how many sockets are live (DESIGN.md,
@@ -113,8 +115,10 @@ struct TcpTable {
     by_tuple: FixedMap<(u64, u32), usize>,
     /// Slots touched since the last poll, each once (removed ones too).
     dirty: Vec<usize>,
-    /// `(poll_at, slot)` of every clean live socket with a deadline.
-    deadlines: BTreeSet<(Instant, usize)>,
+    /// `(poll_at, slot)` of every clean live socket with a deadline: a
+    /// binary min-heap on the deadline, indexed through each slot's
+    /// [`TcpSlotMeta::heap_pos`] so a slot leaves it in `O(log n)`.
+    deadlines: Vec<(Instant, usize)>,
     /// The empty slots, lowest first.
     free: BinaryHeap<Reverse<usize>>,
     /// Scratch list of the slots one poll visits.
@@ -149,16 +153,12 @@ impl TcpTable {
 
     /// Mutable access; marks the slot dirty so the next poll visits it.
     fn touch(&mut self, idx: usize) -> &mut TcpSocket {
-        let sock = self.sockets[idx].as_mut().expect("closed socket");
-        let meta = &mut self.meta[idx];
-        if !meta.dirty {
-            meta.dirty = true;
+        if !self.meta[idx].dirty {
+            self.meta[idx].dirty = true;
             self.dirty.push(idx);
-            if let Some(at) = meta.deadline.take() {
-                self.deadlines.remove(&(at, idx));
-            }
+            self.unfile(idx);
         }
-        sock
+        self.sockets[idx].as_mut().expect("closed socket")
     }
 
     /// Stores `socket` in the lowest free slot and marks it dirty.
@@ -167,7 +167,7 @@ impl TcpTable {
             Some(Reverse(idx)) => idx,
             None => {
                 self.sockets.push(None);
-                self.meta.push(TcpSlotMeta::default());
+                self.meta.push(TcpSlotMeta { dirty: false, heap_pos: UNFILED });
                 self.sockets.len() - 1
             }
         };
@@ -182,9 +182,7 @@ impl TcpTable {
     fn remove(&mut self, idx: usize) -> Option<TcpSocket> {
         let sock = self.sockets[idx].take()?;
         self.by_tuple.remove(&tuple_key(sock.local, sock.remote));
-        if let Some(at) = self.meta[idx].deadline.take() {
-            self.deadlines.remove(&(at, idx));
-        }
+        self.unfile(idx);
         self.free.push(Reverse(idx));
         Some(sock)
     }
@@ -200,8 +198,7 @@ impl TcpTable {
             if at > now {
                 break;
             }
-            self.deadlines.pop_first();
-            self.meta[idx].deadline = None;
+            self.unfile(idx);
             out.push(idx);
         }
         out.sort_unstable();
@@ -209,19 +206,82 @@ impl TcpTable {
 
     /// Files a visited live slot under its fresh deadline.
     fn settle(&mut self, idx: usize) {
-        let deadline = self.get(idx).poll_at();
-        self.meta[idx].deadline = deadline;
-        if let Some(at) = deadline {
-            self.deadlines.insert((at, idx));
+        if let Some(at) = self.get(idx).poll_at() {
+            let pos = self.deadlines.len();
+            self.deadlines.push((at, idx));
+            self.sift_up(pos);
         }
     }
 
     /// The earliest deadline over every live socket.
     fn poll_at(&self) -> Option<Instant> {
         let clean = self.deadlines.first().map(|&(at, _)| at);
-        let dirty =
-            self.dirty.iter().filter_map(|&idx| self.sockets[idx].as_ref()?.poll_at()).min();
-        clean.into_iter().chain(dirty).min()
+        let dirty = self.dirty.iter().fold(None, |min, &idx| {
+            Instant::earliest(min, self.sockets[idx].as_ref().and_then(TcpSocket::poll_at))
+        });
+        Instant::earliest(clean, dirty)
+    }
+
+    /// Takes slot `idx` out of the deadline heap, if it is filed there.
+    fn unfile(&mut self, idx: usize) {
+        let pos = std::mem::replace(&mut self.meta[idx].heap_pos, UNFILED);
+        if pos == UNFILED {
+            return;
+        }
+        self.deadlines.swap_remove(pos);
+        if pos < self.deadlines.len() {
+            // The former last entry fills the hole: restore order around it.
+            if self.sift_up(pos) == pos {
+                self.sift_down(pos);
+            }
+        }
+    }
+
+    /// Moves the heap entry at `pos` up to its place; returns where it
+    /// landed. Every entry it moves gets its cached position updated.
+    fn sift_up(&mut self, mut pos: usize) -> usize {
+        let entry = self.deadlines[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.deadlines[parent].0 <= entry.0 {
+                break;
+            }
+            self.place(pos, self.deadlines[parent]);
+            pos = parent;
+        }
+        self.place(pos, entry);
+        pos
+    }
+
+    /// Moves the heap entry at `pos` down to its place.
+    fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.deadlines[pos];
+        let len = self.deadlines.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.deadlines[right].0 < self.deadlines[left].0 {
+                right
+            } else {
+                left
+            };
+            if entry.0 <= self.deadlines[child].0 {
+                break;
+            }
+            self.place(pos, self.deadlines[child]);
+            pos = child;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Writes `entry` at heap position `pos` and caches that position.
+    #[inline]
+    fn place(&mut self, pos: usize, entry: (Instant, usize)) {
+        self.deadlines[pos] = entry;
+        self.meta[entry.1].heap_pos = pos;
     }
 }
 
@@ -982,7 +1042,7 @@ impl Host {
         let sctp = self.sctp_endpoints.iter().flatten().filter_map(|s| s.poll_at()).min();
         let dccp = self.dccp_endpoints.iter().flatten().filter_map(|s| s.poll_at()).min();
         let dhcp = self.dhcp_client.as_ref().and_then(|(_, c)| c.poll_at());
-        [tcp, sctp, dccp, dhcp].into_iter().flatten().min()
+        Instant::earliest(Instant::earliest(tcp, sctp), Instant::earliest(dccp, dhcp))
     }
 
     fn reschedule(&mut self, ctx: &mut NodeCtx) {
@@ -1512,17 +1572,30 @@ impl Host {
         dirty.sort_unstable();
         let flagged: Vec<usize> = slots.clone().filter(|&i| t.meta[i].dirty).collect();
         assert_eq!(dirty, flagged);
-        // The deadline set is exactly poll_at() of every clean live socket.
-        let want: BTreeSet<(Instant, usize)> = live
+        // The deadline heap is in heap order, each filed slot's cached
+        // position points at its own entry, and it holds exactly poll_at()
+        // of every clean live socket.
+        for pos in 1..t.deadlines.len() {
+            assert!(t.deadlines[(pos - 1) / 2].0 <= t.deadlines[pos].0, "heap order at {pos}");
+        }
+        for i in slots.clone() {
+            match t.meta[i].heap_pos {
+                UNFILED => {}
+                pos => assert_eq!(t.deadlines.get(pos).map(|e| e.1), Some(i), "slot {i}"),
+            }
+        }
+        let mut filed = t.deadlines.clone();
+        filed.sort_unstable();
+        let mut want: Vec<(Instant, usize)> = live
             .iter()
             .filter(|&&i| !t.meta[i].dirty)
             .filter_map(|&i| Some((t.get(i).poll_at()?, i)))
             .collect();
-        assert_eq!(t.deadlines, want);
-        for i in slots.clone() {
-            let filed = t.meta[i].deadline.map(|at| (at, i));
-            assert_eq!(filed, want.iter().find(|&&(_, j)| j == i).copied());
-        }
+        want.sort_unstable();
+        assert_eq!(filed, want);
+        // As many filed slots as entries: every entry is its slot's own.
+        let unfiled = slots.clone().filter(|&i| t.meta[i].heap_pos == UNFILED).count();
+        assert_eq!(unfiled + t.deadlines.len(), t.sockets.len());
         assert_eq!(t.poll_at(), t.sockets.iter().flatten().filter_map(|s| s.poll_at()).min());
         // The free heap is exactly the empty slots.
         let mut free: Vec<usize> = t.free.iter().map(|r| r.0).collect();

@@ -565,10 +565,9 @@ impl TcpSocket {
 
     /// The next instant this socket needs a poll, if any.
     pub fn poll_at(&self) -> Option<Instant> {
-        [self.rto_deadline, self.persist_deadline, self.time_wait_deadline, self.keepalive_deadline]
-            .into_iter()
-            .flatten()
-            .min()
+        let rto_or_persist = Instant::earliest(self.rto_deadline, self.persist_deadline);
+        let others = Instant::earliest(self.time_wait_deadline, self.keepalive_deadline);
+        Instant::earliest(rto_or_persist, others)
     }
 
     /// Handles timer expiries at `now`. Call before [`TcpSocket::dispatch`].
