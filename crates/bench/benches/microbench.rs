@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the substrate: wire codecs, checksums, the NAT
-//! table, the discrete-event engine under a TCP bulk transfer, and a
+//! Micro-benchmarks of the substrate: wire codecs, checksums, the bulk
+//! sender's segment emission, the NAT table, the discrete-event engine under a TCP bulk transfer, and a
 //! complete UDP-1 binding-timeout search.
 //!
 //! Criterion is unavailable offline, so this is a plain `harness = false`
@@ -23,6 +23,7 @@ use hgw_core::{
 use hgw_gateway::{GatewayPolicy, NatProto, NatTable};
 use hgw_probe::throughput::{run_transfer, Direction};
 use hgw_probe::udp_timeout::measure_udp1;
+use hgw_stack::tcp::{BulkSendBuffer, SEGMENT_HEADROOM};
 use hgw_testbed::Testbed;
 use hgw_wire::checksum::{
     copy_and_checksum, crc32c, internet_checksum, transport_checksum, ChecksumDelta,
@@ -137,6 +138,33 @@ fn bench_checksums(results: &mut Vec<MicroResult>) {
         out.clear();
         out.extend_from_slice(std::hint::black_box(&noisy));
         internet_checksum(std::hint::black_box(&out))
+    });
+}
+
+/// One full bulk segment from the send buffer to a finished frame, the
+/// way a bulk socket and the host's TCP send path build it: regenerate
+/// 1460 stream bytes behind the 40-byte headroom (stamp records from their
+/// send times, filler from the pattern, the pair sum without reading the
+/// bytes back), then write both headers, summed from their fields. The
+/// offset walks the buffer, so the segments cut the 2 KiB stamp blocks at
+/// ever different points.
+fn bench_tcp(results: &mut Vec<MicroResult>) {
+    let src = Ipv4Addr::new(192, 168, 1, 2);
+    let dst = Ipv4Addr::new(10, 0, 1, 1);
+    let mut bulk = BulkSendBuffer::new(u64::MAX, 2048);
+    bulk.generate(hgw_core::Instant::from_millis(1), 128 * 1024);
+    let ip = Ipv4Repr::new(src, dst, Protocol::Tcp);
+    let tcp = TcpRepr::new(40_000, 5_001, TcpFlags::ACK);
+    let mut frame = Vec::with_capacity(SEGMENT_HEADROOM + 1460);
+    let mut offset = 0;
+    bench(results, "tcp", "bulk_segment_emit_1460", Some(1460), || {
+        frame.clear();
+        frame.resize(SEGMENT_HEADROOM, 0);
+        let payload_sum = bulk.copy_range_into_with_sum(offset, 1460, &mut frame);
+        ip.write_header(frame.len() - 20, &mut frame[..20]);
+        tcp.write_header_with_sum(src, dst, 1460, payload_sum, &mut frame[20..]);
+        offset = (offset + 1460) % (120 * 1024);
+        std::hint::black_box(&frame);
     });
 }
 
@@ -614,6 +642,7 @@ fn median(xs: &mut [f64]) -> f64 {
 fn main() {
     let mut results = Vec::new();
     bench_checksums(&mut results);
+    bench_tcp(&mut results);
     bench_wire(&mut results);
     bench_nat_table(&mut results);
     bench_nat_retime(&mut results);

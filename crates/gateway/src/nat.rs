@@ -19,7 +19,8 @@
 //!   DESIGN.md §11): every deadline the table hands out is one of a few
 //!   non-decreasing functions of the clock, so a refresh, FIN linger or
 //!   RST appends to one of a few sorted runs in O(1), however many
-//!   bindings are live;
+//!   bindings are live. Stale entries are filtered out whenever they
+//!   outnumber the live ones, so the queue is bounded by live state;
 //! - an exact-match quarantine index over recently expired flows with its
 //!   own run-queue pruning queue (the UDP-4 reuse-vs-quarantine memory).
 //!
@@ -187,6 +188,9 @@ pub struct NatTable {
     // goes through the slab, so their bucket layout is unobservable.
     /// Stable id of `bindings[i]` (parallel to `bindings`).
     ids: Vec<u64>,
+    /// Seq of `bindings[i]`'s live expiry-queue entry (parallel to
+    /// `bindings`): every other entry for the binding is stale.
+    queued: Vec<u64>,
     /// Current slab position of each live id.
     pos_of: FixedMap<u64, usize>,
     /// Exact session index: `(proto, internal, remote)` → id. Unique —
@@ -200,9 +204,10 @@ pub struct NatTable {
     /// Time-ordered expiry queue over live bindings: a run queue of
     /// `(expires_at, binding id)` entries with *lazy cancellation*. A
     /// binding that is removed or re-timed leaves its old entry behind;
-    /// [`NatTable::sweep`] filters stale entries when they surface (an
-    /// entry is live iff its id still exists and the binding's current
-    /// `expires_at` matches the entry's deadline). Ids are never reused,
+    /// [`NatTable::sweep`] filters stale entries when they surface, and
+    /// [`NatTable::bound_expiry_queue`] filters them all once they
+    /// outnumber the live ones. An entry is live iff its id still exists
+    /// and its seq is the binding's `queued` seq. Ids are never reused,
     /// so a stale entry can never impersonate a live one.
     expiry: RunQueue<u64>,
     /// Live binding count per transport (indexed by [`proto_idx`]).
@@ -267,6 +272,7 @@ impl NatTable {
         NatTable {
             bindings: Vec::new(),
             ids: Vec::new(),
+            queued: Vec::new(),
             pos_of: FixedMap::default(),
             by_session: FixedMap::default(),
             by_internal: FixedMap::default(),
@@ -305,6 +311,7 @@ impl NatTable {
         self.by_external = old.by_external;
         self.bindings = old.bindings.cleared();
         self.ids = old.ids.cleared();
+        self.queued = old.queued.cleared();
         self.pos_of = old.pos_of.cleared();
         self.by_session = old.by_session.cleared();
         self.quarantine = old.quarantine.cleared();
@@ -438,12 +445,14 @@ impl NatTable {
         self.live[proto_idx(b.proto)] += 1;
         self.bindings.push(b);
         self.ids.push(id);
+        self.queued.push(seq);
     }
 
     /// `swap_remove`s the binding at `pos` and unindexes it, fixing up the
     /// relocated tail element's position.
     fn remove_at(&mut self, pos: usize) -> Binding {
         let id = self.ids.swap_remove(pos);
+        self.queued.swap_remove(pos);
         let b = self.bindings.swap_remove(pos);
         if pos < self.ids.len() {
             self.pos_of.insert(self.ids[pos], pos);
@@ -471,13 +480,13 @@ impl NatTable {
         // The binding's expiry-queue entry stays behind; `sweep` discards
         // it as stale (lazy cancellation — the id no longer resolves).
         self.live[proto_idx(b.proto)] -= 1;
+        self.bound_expiry_queue();
         b
     }
 
     /// Moves the binding at `pos` to a new expiry time. The old queue
-    /// entry is left behind (stale: its deadline no longer matches the
-    /// binding); only the entry matching the binding's current
-    /// `expires_at` is honored by `sweep`.
+    /// entry is left behind (stale: its seq is no longer the binding's
+    /// `queued` seq); only the new entry is honored by `sweep`.
     fn set_expiry(&mut self, pos: usize, expires_at: Instant) {
         let id = self.ids[pos];
         let old = self.bindings[pos].expires_at;
@@ -487,6 +496,30 @@ impl NatTable {
         let seq = self.next_queue_seq();
         self.expiry.insert(expires_at.as_nanos(), seq, id);
         self.bindings[pos].expires_at = expires_at;
+        self.queued[pos] = seq;
+        self.bound_expiry_queue();
+    }
+
+    /// Keeps the expiry queue within `2 · live + 64` entries. Only a
+    /// re-time or a removal can break that bound (a new binding adds one
+    /// live entry), so those two call this. A re-timed binding's old entry
+    /// would otherwise stay until its deadline passed — with a 2 h idle
+    /// timeout, thousands per binding refreshed every second.
+    #[inline]
+    fn bound_expiry_queue(&mut self) {
+        if self.expiry.len() > 2 * self.bindings.len() + 64 {
+            self.drop_stale_expiry_entries();
+        }
+    }
+
+    /// Filters the expiry queue down to one entry per live binding. Each
+    /// call removes more than half the queue, so its cost is amortized
+    /// O(1) per insert; it stays out of line to keep the callers small.
+    #[cold]
+    #[inline(never)]
+    fn drop_stale_expiry_entries(&mut self) {
+        let (pos_of, queued) = (&self.pos_of, &self.queued);
+        self.expiry.retain(|seq, id| pos_of.get(id).is_some_and(|&pos| queued[pos] == seq));
     }
 
     /// Moves expired bindings to the quarantine memory. Call with the
@@ -494,19 +527,18 @@ impl NatTable {
     /// of bindings actually due, not the table size.
     pub fn sweep(&mut self, now: Instant) {
         // Current slab positions of every binding that is due. Stale queue
-        // entries (the binding was removed, or re-timed so its live
-        // deadline differs from the entry's) surface here and are simply
-        // discarded; duplicate deadlines for one binding dedupe below.
+        // entries (the binding was removed or re-timed since) surface here
+        // and are simply discarded; a binding has one live entry, so each
+        // position comes up once.
         let mut due = std::mem::take(&mut self.due);
-        while let Some((at, _, id)) = self.expiry.pop_due(now.as_nanos()) {
+        while let Some((_, seq, id)) = self.expiry.pop_due(now.as_nanos()) {
             if let Some(&pos) = self.pos_of.get(&id) {
-                if self.bindings[pos].expires_at.as_nanos() == at {
+                if self.queued[pos] == seq {
                     due.push(pos);
                 }
             }
         }
         due.sort_unstable();
-        due.dedup();
         let swept = due.len();
         // Replay the removals exactly as the reference ascending scan with
         // `swap_remove` does: take the smallest due position; the relocated
@@ -1939,6 +1971,37 @@ mod differential {
         // The stale entries of re-timed bindings leave as their deadlines pass.
         new.sweep(now + p.tcp_timeout + Duration::from_secs(1));
         assert_eq!((new.expiry.len(), new.expiry.run_count()), (0, 0));
+    }
+
+    /// 1 024 TCP bindings each refreshed into a new deadline (the 2 h idle
+    /// timeout on a 1 s timer) every virtual second for 4 virtual hours:
+    /// every refresh leaves a stale entry, and the queue must still stay
+    /// within `2 · live + 64` entries throughout.
+    #[test]
+    fn refreshed_bindings_keep_the_expiry_queue_bounded_by_live_state() {
+        let p = GatewayPolicy { max_bindings: 1_024, ..GatewayPolicy::well_behaved() };
+        let mut nat = NatTable::new();
+        let server = (Ipv4Addr::new(10, 0, 1, 1), 80);
+        let flows: Vec<Endpoint> =
+            (0..1_024u16).map(|i| (Ipv4Addr::new(192, 168, 1, 100), 10_000 + i)).collect();
+        let mut peak = 0;
+        for second in 1..=4 * 3_600 {
+            let now = Instant::from_secs(second);
+            nat.sweep(now);
+            for &internal in &flows {
+                let v = nat.outbound(now, &p, NatProto::Tcp, internal, server, false, false);
+                assert!(matches!(v, OutboundVerdict::Translated { .. }));
+                let (queued, live) = (nat.expiry.len(), nat.bindings().len());
+                assert!(
+                    queued <= 2 * live + 64,
+                    "{queued} entries for {live} bindings at {second} s"
+                );
+                peak = peak.max(queued);
+            }
+        }
+        assert_eq!(nat.bindings().len(), 1_024);
+        assert_eq!(nat.stats().bindings_expired, 0);
+        assert!(peak > 1_024 + 64, "the refreshes never left a stale entry");
     }
 
     #[test]

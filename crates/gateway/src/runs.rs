@@ -44,18 +44,19 @@ pub(crate) struct RunQueue<T> {
     /// The least `at` among the run heads, `u64::MAX` when empty: a
     /// [`RunQueue::pop_due`] with nothing due costs one compare.
     head_min: u64,
+    /// Entries queued, over all runs.
+    len: usize,
 }
 
 impl<T> RunQueue<T> {
     /// An empty queue.
     pub(crate) fn new() -> RunQueue<T> {
-        RunQueue { runs: Vec::new(), spare: Vec::new(), head_min: u64::MAX }
+        RunQueue { runs: Vec::new(), spare: Vec::new(), head_min: u64::MAX, len: 0 }
     }
 
     /// Entries currently queued.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.runs.iter().map(VecDeque::len).sum()
+        self.len
     }
 
     /// Non-empty runs currently held.
@@ -68,6 +69,7 @@ impl<T> RunQueue<T> {
     #[inline]
     pub(crate) fn insert(&mut self, at: u64, seq: u64, item: T) {
         self.head_min = self.head_min.min(at);
+        self.len += 1;
         let entry = Entry { at, seq, item };
         for run in &mut self.runs {
             if run.back().is_some_and(|tail| tail.at <= at) {
@@ -99,6 +101,7 @@ impl<T> RunQueue<T> {
         }
         let run = &mut self.runs[best];
         let e = run.pop_front().expect("runs are never empty");
+        self.len -= 1;
         if run.is_empty() {
             let run = self.runs.remove(best);
             self.spare.push(run);
@@ -107,10 +110,30 @@ impl<T> RunQueue<T> {
         Some((e.at, e.seq, e.item))
     }
 
+    /// Keeps only the entries for which `keep(seq, item)` holds. Filtering
+    /// leaves every run non-decreasing in `(at, seq)`, so pops keep their
+    /// order; a run it empties joins the spares. (Run tails may no longer
+    /// decrease from first to last, which costs at most extra runs.)
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64, &T) -> bool) {
+        let mut i = 0;
+        while i < self.runs.len() {
+            self.runs[i].retain(|e| keep(e.seq, &e.item));
+            if self.runs[i].is_empty() {
+                let run = self.runs.remove(i);
+                self.spare.push(run);
+            } else {
+                i += 1;
+            }
+        }
+        self.len = self.runs.iter().map(VecDeque::len).sum();
+        self.head_min = self.runs.iter().map(|run| run[0].at).min().unwrap_or(u64::MAX);
+    }
+
     /// Drops every entry, keeping the runs' capacity.
     pub(crate) fn clear(&mut self) {
         self.spare.extend(self.runs.drain(..).map(Cleared::cleared));
         self.head_min = u64::MAX;
+        self.len = 0;
     }
 }
 
@@ -169,6 +192,12 @@ mod tests {
         fn clear(&mut self) {
             self.runs.clear();
             self.oracle.clear();
+        }
+
+        /// Keeps the entries whose seq `keep` accepts, in both.
+        fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+            self.runs.retain(|seq, _| keep(seq));
+            self.oracle.retain(|r| keep(r.0 .1));
         }
 
         fn check_len(&self) {
@@ -243,6 +272,33 @@ mod tests {
                     q.clear();
                 }
                 q.check_len();
+            }
+            q.pop_due(u64::MAX);
+            q.check_len();
+        }
+    }
+
+    /// Filtering between inserts and pops, down to empty runs and an
+    /// empty queue, never changes the pop order of what is left.
+    #[test]
+    fn retain_keeps_heap_order() {
+        for seed in 20..=25 {
+            let mut rng = SimRng::new(seed);
+            let mut q = Lockstep::default();
+            for op in 0..6_000 {
+                match rng.below(24) {
+                    0..=13 => q.insert(rng.below(1 << 16)),
+                    14..=19 => {
+                        q.pop_due(rng.below(1 << 16));
+                    }
+                    20..=22 => {
+                        let (modulus, rest) = (2 + rng.below(5), rng.below(2));
+                        q.retain(|seq| seq % modulus != rest);
+                    }
+                    _ => q.retain(|_| false),
+                }
+                q.check_len();
+                assert!(q.runs.runs.iter().all(|run| !run.is_empty()), "seed {seed} op {op}");
             }
             q.pop_due(u64::MAX);
             q.check_len();

@@ -63,8 +63,11 @@ pub fn delay_from_stamps(stats: &SinkStats) -> f64 {
     for d in &mut deltas {
         *d -= min;
     }
-    deltas.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    deltas[deltas.len() / 2]
+    // Every delta is finite and at least +0.0 (`x - x` is +0.0), so
+    // `total_cmp` orders them as `partial_cmp` would and the selected
+    // element is the sorted one.
+    let mid = deltas.len() / 2;
+    *deltas.select_nth_unstable_by(mid, f64::total_cmp).1
 }
 
 struct Flow {

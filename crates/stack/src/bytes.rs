@@ -1,9 +1,9 @@
-//! A chunked byte queue for TCP stream buffers.
+//! A chunked byte queue for TCP stream buffers of application data (a bulk
+//! socket's send buffer is a `tcp::BulkSendBuffer`, which stores no bytes).
 //!
 //! `VecDeque<u8>` stream buffers pay per-byte costs on the hottest TCP
-//! paths: segment payload extraction iterates `range(..).copied()`, ACK
-//! processing `drain`s byte by byte, and the bulk generator `push_back`s
-//! each byte. [`ByteQueue`] stores the stream as a FIFO of contiguous
+//! paths: segment payload extraction iterates `range(..).copied()` and ACK
+//! processing `drain`s byte by byte. [`ByteQueue`] stores the stream as a FIFO of contiguous
 //! chunks so every hot operation moves whole slices (`extend_from_slice`,
 //! `copy_from_slice`) instead of bytes.
 //!
@@ -12,7 +12,7 @@
 //!
 //! Storage circulates instead of churning the allocator: while bytes
 //! remain queued, a fully drained front chunk becomes the next tail chunk,
-//! so a steady bulk stream reuses the same few chunks. A fresh chunk is
+//! so a steady stream reuses the same few chunks. A fresh chunk is
 //! sized to its first append (a 1-byte message takes 64 bytes, not a full
 //! chunk) and grows in place up to a full 4 KiB chunk. A queue that drains
 //! to empty keeps no storage at all.
@@ -83,28 +83,6 @@ impl ByteQueue {
         }
     }
 
-    /// Appends `n` generated bytes, calling `f` with each byte's offset
-    /// relative to the start of this extension. Bytes land directly in the
-    /// tail chunks; no intermediate buffer. Each chunk run is extended once
-    /// and then filled through a slice, so a simple generator (the bulk
-    /// source's position pattern) compiles to a vectorized fill rather than
-    /// a per-byte `push` — this is the hot path that refills the TCP send
-    /// buffer on every ACK during a bulk transfer.
-    pub fn extend_with(&mut self, n: u64, mut f: impl FnMut(u64) -> u8) {
-        self.len += n as usize;
-        let mut i = 0u64;
-        while i < n {
-            let tail = self.tail_with_room((n - i).min(CHUNK as u64) as usize);
-            let run = ((CHUNK - tail.len()) as u64).min(n - i);
-            let start = tail.len();
-            tail.resize(start + run as usize, 0);
-            for (j, slot) in tail[start..].iter_mut().enumerate() {
-                *slot = f(i + j as u64);
-            }
-            i += run;
-        }
-    }
-
     /// Copies up to `max` bytes, starting `offset` bytes from the front,
     /// onto the end of `out`. Copies whole sub-slices per chunk.
     ///
@@ -112,8 +90,8 @@ impl ByteQueue {
     /// (`tail_with_room` tops a chunk off before opening the next, and
     /// `consume` removes only fully drained chunks), so the chunk holding a
     /// given stream position is index arithmetic, not a scan — this runs
-    /// once per TCP segment during a bulk transfer, where a front-to-back
-    /// skip over a 128 KiB send buffer would be pure overhead.
+    /// once per TCP segment, where a front-to-back skip over a 128 KiB
+    /// send buffer would be pure overhead.
     pub fn copy_range_into(&self, offset: usize, max: usize, out: &mut Vec<u8>) {
         let mut want = max.min(self.len.saturating_sub(offset));
         out.reserve(want);
@@ -236,17 +214,6 @@ mod tests {
         out.clear();
         q.copy_range_into(7, 10, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn extend_with_generates_in_order() {
-        let mut q = ByteQueue::new();
-        q.extend_from_slice(&[0xFF; 10]);
-        q.extend_with(2 * CHUNK as u64, |i| (i % 256) as u8);
-        q.consume(10);
-        let got = q.take_front(2 * CHUNK);
-        let want: Vec<u8> = (0..2 * CHUNK as u64).map(|i| (i % 256) as u8).collect();
-        assert_eq!(got, want);
     }
 
     /// Independent pair-sum reference (u64 accumulator, folded to 16 bits).

@@ -8,10 +8,11 @@
 //! byte stream with a virtual timestamp every 2 KB (TCP-2/TCP-3) and a
 //! *sink* that extracts those timestamps on arrival.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddrV4;
 
 use hgw_core::{Duration, FramePool, Instant};
+use hgw_wire::checksum::{copy_and_checksum, swap_pair_sum};
 use hgw_wire::tcp::{TcpOption, TcpRepr};
 use hgw_wire::{SeqNumber, TcpFlags};
 
@@ -107,71 +108,177 @@ impl Default for TcpConfig {
 /// Marks a timestamp record in the bulk stream.
 pub const STAMP_MAGIC: u64 = 0x4847_5753_5441_4D50; // "HGWSTAMP"
 
-/// The bulk byte-stream generator used by TCP-2/TCP-3: produces `total`
-/// bytes; every `stamp_every` stream bytes begin with a 16-octet record
-/// `[MAGIC, send-time nanos]` (the paper embeds a timestamp every 2 KB of
-/// payload).
-#[derive(Debug, Clone)]
-pub struct BulkSource {
-    total: u64,
-    generated: u64,
-    stamp_every: u64,
+/// Longest filler run copied from [`PATTERN`] at once: one 2 KiB stamp
+/// block (the probes' interval), so such a block's filler is one copy;
+/// longer blocks take several.
+const SPAN: usize = 2048;
+
+/// The bulk filler: the byte at stream position `p` is `p as u8`, so any
+/// run is a window into this table starting at phase `p & 0xFF`.
+static PATTERN: [u8; SPAN + 256] = {
+    let mut t = [0u8; SPAN + 256];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = (i & 0xFF) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// The RFC 1071 pair sum of the `n` filler bytes starting at pattern
+/// phase `phase`, as if they started at an even offset — the value
+/// `copy_and_checksum` returns for `PATTERN[phase..phase + n]`, folded to
+/// 16 bits, without reading them.
+///
+/// Position `q` of the endless pattern holds `q mod 256`, so the bytes at
+/// even positions below `q = 256c + r` sum to `16256c + k(k−1)` with
+/// `k = ⌈r/2⌉`, and the odd ones to `16384c + m²` with `m = ⌊r/2⌋`: the
+/// 2 × 129-entry prefix table of one period in closed form. A run
+/// starting at an even phase puts its even positions in the high byte of
+/// each pair.
+fn pattern_pair_sum(phase: usize, n: usize) -> u32 {
+    fn prefix(q: u64) -> (u64, u64) {
+        let (c, r) = (q / 256, q % 256);
+        let (k, m) = (r.div_ceil(2), r / 2);
+        (16_256 * c + k * k.saturating_sub(1), 16_384 * c + m * m)
+    }
+    let (q0, q1) = (phase as u64, (phase + n) as u64);
+    let (even, odd) = {
+        let (e0, o0) = prefix(q0);
+        let (e1, o1) = prefix(q1);
+        (e1 - e0, o1 - o0)
+    };
+    let (high, low) = if phase.is_multiple_of(2) { (even, odd) } else { (odd, even) };
+    let mut acc = (high << 8) + low;
+    while acc > 0xFFFF {
+        acc = (acc & 0xFFFF) + (acc >> 16);
+    }
+    acc as u32
 }
 
-impl BulkSource {
-    /// A source of `total` bytes stamping every `stamp_every` bytes.
-    pub fn new(total: u64, stamp_every: usize) -> BulkSource {
+/// The send buffer of a bulk socket (TCP-2/TCP-3 sender role): a stream
+/// of `total` bytes in which every `stamp_every` bytes begin with a
+/// 16-octet record, [`STAMP_MAGIC`] then the send time in nanoseconds,
+/// both big-endian (the paper embeds a timestamp every 2 KB of payload),
+/// and the byte at every other stream position `p` is the filler `p as u8`.
+///
+/// Every byte is a function of its stream position and of the send times
+/// of the records, so the buffer stores only the window
+/// `[start, start + len)` of buffered stream positions and the 8-byte send
+/// times of the records that still overlap it. Copies regenerate the
+/// bytes — the same bytes for a retransmit or a go-back-N resend — and
+/// price their checksum without reading them back: a filler run's sum is
+/// a closed form of its phase and length, and only the 16-byte records
+/// are summed.
+#[derive(Debug, Clone)]
+pub struct BulkSendBuffer {
+    total: u64,
+    stamp_every: u64,
+    /// Stream position of the first buffered byte.
+    start: u64,
+    /// Stream position one past the last generated byte.
+    end: u64,
+    /// Send times of the records from index `first_record` on.
+    stamps: VecDeque<u64>,
+    first_record: u64,
+}
+
+impl BulkSendBuffer {
+    /// An empty buffer for a stream of `total` bytes stamped every
+    /// `stamp_every` bytes.
+    pub fn new(total: u64, stamp_every: usize) -> BulkSendBuffer {
         assert!(stamp_every >= 16, "stamp interval must hold the 16-byte record");
-        BulkSource { total, generated: 0, stamp_every: stamp_every as u64 }
+        BulkSendBuffer {
+            total,
+            stamp_every: stamp_every as u64,
+            start: 0,
+            end: 0,
+            stamps: VecDeque::new(),
+            first_record: 0,
+        }
     }
 
-    /// Bytes not yet pushed into the send buffer.
+    /// Bytes not yet generated into the buffer.
     pub fn remaining(&self) -> u64 {
-        self.total - self.generated
+        self.total - self.end
     }
 
-    /// Generates up to `space` bytes at time `now` into `out`.
-    fn generate(&mut self, now: Instant, space: usize, out: &mut ByteQueue) {
+    /// Bytes currently buffered.
+    pub fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// True if no bytes are buffered.
+    pub fn is_empty(&self) -> bool {
+        self.end == self.start
+    }
+
+    /// Generates up to `space` more bytes at time `now`; returns how many.
+    /// A record is generated whole or not at all, so generation stops
+    /// short of a record that does not fit in `space`.
+    pub fn generate(&mut self, now: Instant, space: usize) -> usize {
+        let begin = self.end;
         let mut space = (space as u64).min(self.remaining());
         while space > 0 && self.remaining() > 0 {
-            let pos = self.generated;
-            let in_block = pos % self.stamp_every;
+            let in_block = self.end % self.stamp_every;
             if in_block == 0 {
                 if space < 16 || self.remaining() < 16 {
                     break; // wait for room for a whole record
                 }
-                out.extend_from_slice(&STAMP_MAGIC.to_be_bytes());
-                out.extend_from_slice(&now.as_nanos().to_be_bytes());
-                self.generated += 16;
+                self.stamps.push_back(now.as_nanos());
+                self.end += 16;
                 space -= 16;
             } else {
-                // The filler byte at stream position p is `p & 0xFF`, so any
-                // run is a window into a 256-periodic pattern: copy it from
-                // a static table. The table holds one 2 KiB stamp block (the
-                // probes' interval) past any phase, so such a block's filler
-                // is one copy; longer blocks take several.
-                const SPAN: usize = 2048;
-                static PATTERN: [u8; SPAN + 256] = {
-                    let mut t = [0u8; SPAN + 256];
-                    let mut i = 0;
-                    while i < t.len() {
-                        t[i] = (i & 0xFF) as u8;
-                        i += 1;
-                    }
-                    t
-                };
-                let run = (self.stamp_every - in_block).min(space).min(self.remaining());
-                let mut done = 0u64;
-                while done < run {
-                    let phase = ((pos + done) & 0xFF) as usize;
-                    let n = (run - done).min(SPAN as u64) as usize;
-                    out.extend_from_slice(&PATTERN[phase..phase + n]);
-                    done += n as u64;
-                }
-                self.generated += run;
+                let run = (self.stamp_every - in_block).min(space);
+                self.end += run;
                 space -= run;
             }
         }
+        (self.end - begin) as usize
+    }
+
+    /// Discards up to `n` bytes from the front, and the send times of the
+    /// records that lie wholly before the new front.
+    pub fn consume(&mut self, n: usize) {
+        self.start += (n as u64).min(self.end - self.start);
+        while !self.stamps.is_empty() && self.first_record * self.stamp_every + 16 <= self.start {
+            self.stamps.pop_front();
+            self.first_record += 1;
+        }
+    }
+
+    /// Appends up to `max` buffered bytes, starting `offset` bytes from the
+    /// front, onto `out`, and returns their RFC 1071 pair sum in the
+    /// contract of `ByteQueue::copy_range_into_with_sum`: big-endian pair
+    /// space, as if the copied region started at an even offset.
+    pub fn copy_range_into_with_sum(&self, offset: usize, max: usize, out: &mut Vec<u8>) -> u32 {
+        let want = max.min(self.len().saturating_sub(offset));
+        out.reserve(want);
+        let mut pos = self.start + offset as u64;
+        let end = pos + want as u64;
+        let mut acc = 0u32;
+        let mut copied = 0usize;
+        while pos < end {
+            let in_block = (pos % self.stamp_every) as usize;
+            let (n, part) = if in_block < 16 {
+                let sent = self.stamps[(pos / self.stamp_every - self.first_record) as usize];
+                let mut record = [0u8; 16];
+                record[..8].copy_from_slice(&STAMP_MAGIC.to_be_bytes());
+                record[8..].copy_from_slice(&sent.to_be_bytes());
+                let n = (16 - in_block).min((end - pos) as usize);
+                (n, copy_and_checksum(&record[in_block..in_block + n], out))
+            } else {
+                let to_record = self.stamp_every - in_block as u64;
+                let n = to_record.min(end - pos).min(SPAN as u64) as usize;
+                let phase = (pos & 0xFF) as usize;
+                out.extend_from_slice(&PATTERN[phase..phase + n]);
+                (n, pattern_pair_sum(phase, n))
+            };
+            acc += if copied.is_multiple_of(2) { part } else { swap_pair_sum(part) };
+            copied += n;
+            pos += n as u64;
+        }
+        acc
     }
 }
 
@@ -247,9 +354,9 @@ pub struct TcpSegment {
     pub repr: TcpRepr,
     /// [`SEGMENT_HEADROOM`] zero bytes, then the payload.
     buf: Vec<u8>,
-    /// RFC 1071 byte-pair sum of the payload, computed by the fused pass
-    /// that copied it out of the send buffer
-    /// (`ByteQueue::copy_range_into_with_sum`). Lets emission write the
+    /// RFC 1071 byte-pair sum of the payload, computed by the pass that
+    /// copied it out of the send buffer (`copy_range_into_with_sum` of
+    /// [`ByteQueue`] or [`BulkSendBuffer`]). Lets emission write the
     /// transport checksum without re-reading the payload.
     payload_sum: u32,
 }
@@ -301,8 +408,13 @@ pub struct TcpSocket {
     snd_wnd: u32,
     /// Peer MSS from its SYN.
     peer_mss: u32,
+    /// Application data queued by [`TcpSocket::send`]; a bulk socket's
+    /// bytes live in `bulk` instead and this queue stays empty.
     send_buf: ByteQueue,
-    /// Sequence number of the first byte in `send_buf`.
+    /// Bytes in the send buffer — `send_buf`'s or `bulk`'s — unacked or
+    /// unsent, so the sequence-space code reads one number for both kinds.
+    send_len: usize,
+    /// Sequence number of the first byte in the send buffer.
     send_buf_seq: SeqNumber,
     fin_queued: bool,
     fin_seq: Option<SeqNumber>,
@@ -338,7 +450,9 @@ pub struct TcpSocket {
     keepalive_deadline: Option<Instant>,
 
     // ---- apps ----
-    bulk: Option<BulkSource>,
+    /// The send buffer of a bulk socket. It learns of ACKs lazily: each
+    /// [`TcpSocket::dispatch`] drops what `send_len` no longer counts.
+    bulk: Option<BulkSendBuffer>,
     sink: Option<SinkState>,
     sink_stamp_every: u64,
 }
@@ -363,6 +477,7 @@ impl TcpSocket {
             snd_wnd: 0,
             peer_mss: 536,
             send_buf: ByteQueue::new(),
+            send_len: 0,
             send_buf_seq: iss.add(1),
             fin_queued: false,
             fin_seq: None,
@@ -474,13 +589,16 @@ impl TcpSocket {
     }
 
     /// Queues application data; returns the number of bytes accepted.
+    /// A bulk socket (see [`TcpSocket::set_bulk_source`]) sends only its
+    /// generated stream and accepts nothing here.
     pub fn send(&mut self, data: &[u8]) -> usize {
-        if !self.state.can_send() || self.fin_queued {
+        if !self.state.can_send() || self.fin_queued || self.bulk.is_some() {
             return 0;
         }
-        let space = self.config.send_buf.saturating_sub(self.send_buf.len());
+        let space = self.config.send_buf.saturating_sub(self.send_len);
         let n = space.min(data.len());
         self.send_buf.extend_from_slice(&data[..n]);
+        self.send_len += n;
         n
     }
 
@@ -500,7 +618,7 @@ impl TcpSocket {
 
     /// Bytes sitting in the send buffer (unacked + unsent).
     pub fn send_queue_len(&self) -> usize {
-        self.send_buf.len()
+        self.send_len
     }
 
     /// Initiates an orderly close (FIN after queued data).
@@ -528,15 +646,23 @@ impl TcpSocket {
         self.state = TcpState::Closed;
     }
 
-    /// Attaches a bulk source (TCP-2/TCP-3 sender role).
+    /// Attaches a bulk source (TCP-2/TCP-3 sender role): from here the
+    /// socket sends a [`BulkSendBuffer`] stream of `total` bytes stamped
+    /// every `stamp_every` bytes, and [`TcpSocket::send`] accepts nothing.
+    ///
+    /// # Panics
+    ///
+    /// If the send buffer still holds bytes: the stream starts on an empty
+    /// buffer.
     pub fn set_bulk_source(&mut self, total: u64, stamp_every: usize) {
-        self.bulk = Some(BulkSource::new(total, stamp_every));
+        assert_eq!(self.send_len, 0, "a bulk source starts on an empty send buffer");
+        self.bulk = Some(BulkSendBuffer::new(total, stamp_every));
     }
 
     /// Bytes the bulk transfer has not yet pushed out and had acknowledged;
     /// zero means the transfer is fully delivered.
     pub fn bulk_unfinished(&self) -> u64 {
-        self.bulk.as_ref().map(|b| b.remaining()).unwrap_or(0) + self.send_buf.len() as u64
+        self.bulk.as_ref().map(|b| b.remaining()).unwrap_or(0) + self.send_len as u64
     }
 
     /// Enables sink mode (TCP-2/TCP-3 receiver role).
@@ -793,10 +919,13 @@ impl TcpSocket {
             self.cwnd += (mss * mss / self.cwnd).max(1); // congestion avoidance
         }
         // Drop acked bytes (not the FIN's sequence slot) from the buffer.
+        // On a bulk socket `send_buf` is empty and this only moves the
+        // counters; `dispatch` frees the bulk buffer's front.
         let acked_bytes = ack.dist(self.send_buf_seq);
         if acked_bytes > 0 {
-            let n = (acked_bytes as usize).min(self.send_buf.len());
+            let n = (acked_bytes as usize).min(self.send_len);
             self.send_buf.consume(n);
+            self.send_len -= n;
             self.send_buf_seq = self.send_buf_seq.add(n as u32);
         }
         self.take_rtt_sample_on_ack(now, ack);
@@ -819,7 +948,7 @@ impl TcpSocket {
     }
 
     fn wake_persist(&mut self, now: Instant) {
-        if self.snd_wnd == 0 && !self.send_buf.is_empty() {
+        if self.snd_wnd == 0 && self.send_len > 0 {
             if self.persist_deadline.is_none() && !self.persist_probe_due {
                 let backoff = Duration::from_millis(500) * (1u64 << self.persist_backoff.min(6));
                 self.persist_deadline = Some(now + backoff);
@@ -960,14 +1089,38 @@ impl TcpSocket {
             _ => {}
         }
 
-        // Refill the send buffer from the bulk source.
+        // The one test of the socket's kind: each kind then runs its own
+        // copy of the emission code, with its payload copy inlined.
         if let Some(bulk) = &mut self.bulk {
+            // Drop what was ACKed since the last dispatch.
+            bulk.consume(bulk.len() - self.send_len);
             if self.state.can_send() && !self.fin_queued {
-                let space = self.config.send_buf.saturating_sub(self.send_buf.len());
-                bulk.generate(now, space, &mut self.send_buf);
+                bulk.generate(now, self.config.send_buf.saturating_sub(self.send_len));
+                self.send_len = bulk.len();
             }
+            self.send_data(now, pool, out, |s, offset, len, buf| {
+                let bulk = s.bulk.as_ref().expect("a bulk socket keeps its buffer");
+                bulk.copy_range_into_with_sum(offset, len, buf)
+            });
+        } else {
+            self.send_data(now, pool, out, |s, offset, len, buf| {
+                s.send_buf.copy_range_into_with_sum(offset, len, buf)
+            });
         }
+    }
 
+    /// The data-bearing half of [`TcpSocket::dispatch`]: retransmits, new
+    /// data, FIN and the pure ACK. `copy` appends `len` buffered bytes from
+    /// `offset` onto a segment buffer and returns their pair sum.
+    fn send_data<C>(
+        &mut self,
+        now: Instant,
+        pool: &mut FramePool,
+        out: &mut Vec<TcpSegment>,
+        copy: C,
+    ) where
+        C: Fn(&TcpSocket, usize, usize, &mut Vec<u8>) -> u32,
+    {
         let mss = self.effective_mss() as usize;
         let mut sent_any = false;
 
@@ -975,7 +1128,7 @@ impl TcpSocket {
             let len = self.buffered_len(self.snd_una, mss);
             if len > 0 {
                 let flags = TcpFlags::ACK | TcpFlags::PSH;
-                let seg = self.make_data_segment(flags, self.snd_una, len, pool);
+                let seg = self.make_data_segment(flags, self.snd_una, len, pool, &copy);
                 out.push(seg);
             } else if self.fin_seq == Some(self.snd_una) {
                 let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_una, pool);
@@ -1007,7 +1160,7 @@ impl TcpSocket {
             }
             let len = plen as u32;
             let flags = if plen < mss { TcpFlags::ACK | TcpFlags::PSH } else { TcpFlags::ACK };
-            let seg = self.make_data_segment(flags, self.snd_nxt, plen, pool);
+            let seg = self.make_data_segment(flags, self.snd_nxt, plen, pool, &copy);
             out.push(seg);
             if self.rtt_sample.is_none() {
                 self.rtt_sample = Some((self.snd_nxt.add(len), now));
@@ -1058,7 +1211,7 @@ impl TcpSocket {
 
     fn unsent_from(&self, seq: SeqNumber) -> usize {
         let start = seq.dist(self.send_buf_seq).max(0) as usize;
-        self.send_buf.len().saturating_sub(start)
+        self.send_len.saturating_sub(start)
     }
 
     fn header(&self, flags: TcpFlags, seq: SeqNumber) -> TcpRepr {
@@ -1079,18 +1232,22 @@ impl TcpSocket {
     }
 
     /// A segment carrying the `len` buffered bytes from `seq` on (see
-    /// [`TcpSocket::buffered_len`]), copied out after the headroom by the
-    /// fused pass that also sums them.
-    fn make_data_segment(
+    /// [`TcpSocket::buffered_len`]), copied out after the headroom by
+    /// `copy`, which also sums them.
+    fn make_data_segment<C>(
         &self,
         flags: TcpFlags,
         seq: SeqNumber,
         len: usize,
         pool: &mut FramePool,
-    ) -> TcpSegment {
+        copy: &C,
+    ) -> TcpSegment
+    where
+        C: Fn(&TcpSocket, usize, usize, &mut Vec<u8>) -> u32,
+    {
         let mut buf = headroom_buf(pool, len);
         let start = seq.dist(self.send_buf_seq) as usize;
-        let payload_sum = self.send_buf.copy_range_into_with_sum(start, len, &mut buf);
+        let payload_sum = copy(self, start, len, &mut buf);
         TcpSegment::new(self.header(flags, seq), buf, payload_sum)
     }
 }
@@ -1477,5 +1634,164 @@ mod tests {
         s.process(now, &seg.repr, seg.payload()); // duplicate
         assert_eq!(s.recv(100), b"once");
         assert_eq!(s.recv_available(), 0);
+    }
+
+    #[test]
+    fn send_on_a_bulk_socket_is_refused() {
+        let (mut c, _s, _now) = established_pair();
+        assert_eq!(c.send(b"app"), 3, "an app-data socket accepts bytes");
+        let (mut c, _s, _now) = established_pair();
+        c.set_bulk_source(4096, 2048);
+        assert_eq!(c.send(b"app"), 0);
+        assert_eq!(c.send_queue_len(), 0);
+    }
+
+    /// The bulk stream generated the way it was before [`BulkSendBuffer`]:
+    /// every byte written into a [`ByteQueue`]. The reference the stamp-only
+    /// buffer is checked against.
+    struct QueueFilledStream {
+        total: u64,
+        generated: u64,
+        stamp_every: u64,
+        queue: ByteQueue,
+    }
+
+    impl QueueFilledStream {
+        fn generate(&mut self, now: Instant, space: usize) {
+            let remaining = |s: &Self| s.total - s.generated;
+            let mut space = (space as u64).min(remaining(self));
+            while space > 0 && remaining(self) > 0 {
+                let pos = self.generated;
+                let in_block = pos % self.stamp_every;
+                if in_block == 0 {
+                    if space < 16 || remaining(self) < 16 {
+                        break;
+                    }
+                    self.queue.extend_from_slice(&STAMP_MAGIC.to_be_bytes());
+                    self.queue.extend_from_slice(&now.as_nanos().to_be_bytes());
+                    self.generated += 16;
+                    space -= 16;
+                } else {
+                    let run = (self.stamp_every - in_block).min(space).min(remaining(self));
+                    for p in pos..pos + run {
+                        self.queue.extend_from_slice(&[p as u8]);
+                    }
+                    self.generated += run;
+                    space -= run;
+                }
+            }
+        }
+    }
+
+    fn fold16(mut acc: u32) -> u16 {
+        while acc > 0xFFFF {
+            acc = (acc & 0xFFFF) + (acc >> 16);
+        }
+        acc as u16
+    }
+
+    /// Random generate / ACK / copy sequences over stamp intervals that
+    /// split records across segments, odd offsets and lengths, and
+    /// retransmit ranges behind the send point: the stamp-only buffer
+    /// copies the same bytes with the same sums as the queue filled byte by
+    /// byte, and holds the same length.
+    #[test]
+    fn bulk_buffer_matches_a_queue_filled_the_old_way() {
+        for (seed, stamp_every, total) in [
+            (1, 2048, 1 << 20),
+            (2, 16, 70_001),
+            (3, 17, 90_000),
+            (4, 1000, 300_007),
+            (5, 5000, 1 << 19),
+        ] {
+            let mut rng = hgw_core::SimRng::new(seed);
+            let mut bulk = BulkSendBuffer::new(total, stamp_every);
+            let mut reference = QueueFilledStream {
+                total,
+                generated: 0,
+                stamp_every: stamp_every as u64,
+                queue: ByteQueue::new(),
+            };
+            let mut now = Instant::from_millis(1);
+            let (mut fused, mut plain) = (Vec::new(), Vec::new());
+            for op in 0..3_000 {
+                match rng.below(4) {
+                    0 => {
+                        now += Duration::from_micros(1 + rng.below(5_000));
+                        let space = rng.below(9_000) as usize;
+                        let added = bulk.generate(now, space);
+                        let before = reference.queue.len();
+                        reference.generate(now, space);
+                        assert_eq!(added, reference.queue.len() - before, "seed {seed} op {op}");
+                    }
+                    1 => {
+                        let n = rng.below(3_000) as usize;
+                        bulk.consume(n);
+                        reference.queue.consume(n);
+                    }
+                    _ => {
+                        // Go-back-N and fast retransmit resend from the
+                        // front, where a record may be partly ACKed.
+                        let len = bulk.len() as u64;
+                        let offset = match rng.below(3) {
+                            0 => 0,
+                            1 => rng.below(len.min(40) + 2),
+                            _ => rng.below(len + 2),
+                        } as usize;
+                        let max = rng.below(1_461 + 40) as usize;
+                        let lead = rng.below(3) as usize; // odd and even destination offsets
+                        fused.clear();
+                        fused.resize(lead, 0xA5);
+                        plain.clear();
+                        plain.resize(lead, 0xA5);
+                        let got = bulk.copy_range_into_with_sum(offset, max, &mut fused);
+                        let want =
+                            reference.queue.copy_range_into_with_sum(offset, max, &mut plain);
+                        assert_eq!(fused, plain, "seed {seed} op {op} offset {offset} max {max}");
+                        assert_eq!(fold16(got), fold16(want), "seed {seed} op {op}");
+                    }
+                }
+                assert_eq!(bulk.len(), reference.queue.len(), "seed {seed} op {op}");
+                assert_eq!(bulk.remaining(), total - reference.generated);
+                assert!(bulk.stamps.len() as u64 <= bulk.len() as u64 / stamp_every as u64 + 2);
+            }
+        }
+    }
+
+    /// The closed-form filler sum against the wide sum of the same bytes,
+    /// for every phase of the pattern and every run length up to a block.
+    #[test]
+    fn pattern_sum_matches_the_wide_sum() {
+        let mut scratch = Vec::with_capacity(SPAN);
+        for phase in 0..256 {
+            for n in 0..=SPAN {
+                scratch.clear();
+                let want = copy_and_checksum(&PATTERN[phase..phase + n], &mut scratch);
+                assert_eq!(fold16(pattern_pair_sum(phase, n)), fold16(want), "phase {phase} n {n}");
+            }
+        }
+    }
+
+    /// A bulk transfer that loses segments resends them by go-back-N from
+    /// the stamp-only buffer: the sink still sees every byte and stamp.
+    #[test]
+    fn bulk_retransmits_regenerate_the_stream() {
+        let (mut c, mut s, now) = established_pair();
+        c.set_bulk_source(48 * 1024, 2048);
+        s.set_sink(2048);
+        let mut t = now;
+        for round in 0..400 {
+            if c.bulk_unfinished() == 0 {
+                break;
+            }
+            c.on_timer(t);
+            s.on_timer(t);
+            pump(&mut c, &mut s, t, (round % 3 == 0).then_some(2));
+            t += Duration::from_millis(300);
+        }
+        assert_eq!(c.bulk_unfinished(), 0);
+        let stats = s.sink_stats().unwrap();
+        assert_eq!(stats.bytes, 48 * 1024);
+        assert_eq!(stats.stamps.len(), 24);
     }
 }

@@ -20,8 +20,9 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// stay in the big-endian 16-bit-pair space of the `sum_bytewise` oracle.
 /// Three paths, all proven against that oracle (the `wide_*` tests and the
 /// `matches_oracle`/`split_composes` proptests): an option-less 20-byte
-/// IPv4 or TCP header takes five fixed `u32` loads, other inputs under 64
-/// bytes a `u32`-word loop, and longer ones the wide path.
+/// IPv4 or TCP header (every such header a verify reads) takes five fixed
+/// `u32` loads, other inputs under 64 bytes a `u32`-word loop, and longer
+/// ones the wide path.
 pub(crate) fn sum(data: &[u8], acc: u32) -> u32 {
     if let Ok(header) = <&[u8; 20]>::try_from(data) {
         let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap()) as u64;
@@ -107,10 +108,22 @@ fn fold_wide(acc: u128) -> u64 {
     lo + carry as u64
 }
 
+/// The pair-space sum of header words built in registers, for emitters
+/// that checksum a header from its fields instead of re-reading the bytes
+/// they just stored. Each word is a big-endian `u32` of the header; as
+/// 2^16 ≡ 1 modulo 0xFFFF, a word's integer value counts as its two 16-bit
+/// pairs, so the folded total of the words is what [`sum`] returns for
+/// their bytes (`header_words_match_the_byte_sum` checks it).
+pub(crate) fn sum_header_words(words: &[u32]) -> u32 {
+    let total: u64 = words.iter().map(|&w| w as u64).sum();
+    let (lo, carry) = (total as u32).overflowing_add((total >> 32) as u32);
+    fold(lo + carry as u32) as u32
+}
+
 /// Folds a u32 accumulator to 16 bits with end-around carries. Two fixed
 /// steps always suffice: the first leaves at most 0x1_FFFE, and the second
 /// adds a carry of at most 1 to a low half of at most 0xFFFE.
-fn fold(acc: u32) -> u16 {
+pub(crate) fn fold(acc: u32) -> u16 {
     let acc = (acc & 0xFFFF) + (acc >> 16);
     ((acc & 0xFFFF) + (acc >> 16)) as u16
 }
@@ -399,6 +412,24 @@ mod tests {
                 (state >> 33) as u8
             })
             .collect()
+    }
+
+    /// Word sums of headers built in registers equal the byte sum of the
+    /// stored words, the all-ones and all-zero extremes included.
+    #[test]
+    fn header_words_match_the_byte_sum() {
+        let bytes = lcg_fill(4 * 5 * 200, 0x5EED);
+        let mut cases: Vec<Vec<u32>> = bytes
+            .chunks_exact(20)
+            .map(|h| h.chunks_exact(4).map(|w| u32::from_be_bytes(w.try_into().unwrap())).collect())
+            .collect();
+        cases.extend([vec![u32::MAX; 5], vec![0; 5], vec![0xFFFF_0000, 0xFFFF], vec![1], vec![]]);
+        for words in cases {
+            let stored: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+            let got = sum_header_words(&words);
+            assert_eq!(got, sum(&stored, 0), "{words:x?}");
+            assert_eq!(got as u16, fold(sum_bytewise(&stored, 0)), "{words:x?}");
+        }
     }
 
     #[test]

@@ -46,6 +46,16 @@ pub fn write_u32(buf: &mut [u8], off: usize, value: u32) {
     buf[off..off + 4].copy_from_slice(&value.to_be_bytes());
 }
 
+/// Writes a 20-byte fixed header built in registers as five big-endian
+/// words: two 8-byte stores and one 4-byte store instead of one store per
+/// field.
+#[inline]
+pub(crate) fn write_header_words(buf: &mut [u8], w: [u32; 5]) {
+    write_u64(buf, 0, (w[0] as u64) << 32 | w[1] as u64);
+    write_u64(buf, 8, (w[2] as u64) << 32 | w[3] as u64);
+    write_u32(buf, 16, w[4]);
+}
+
 /// Writes the low 48 bits of `value` big-endian at `off`.
 #[inline]
 pub fn write_u48(buf: &mut [u8], off: usize, value: u64) {

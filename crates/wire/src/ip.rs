@@ -8,9 +8,11 @@
 
 use std::net::Ipv4Addr;
 
-use crate::checksum::{checksum_adjust, internet_checksum, ChecksumDelta};
+use crate::checksum::{
+    checksum_adjust, fold, internet_checksum, sum, sum_header_words, ChecksumDelta,
+};
 use crate::error::{WireError, WireResult};
-use crate::field::{read_u16, write_u16};
+use crate::field::{read_u16, write_header_words, write_u16};
 
 /// An IP protocol number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -471,34 +473,37 @@ impl Ipv4Repr {
         self.write_header(payload_len, &mut buf[base..base + hl]);
     }
 
-    /// Writes the IPv4 header (with a valid header checksum) into a
-    /// pre-zeroed `hdr` slice of at least [`Ipv4Repr::header_len`] bytes,
-    /// declaring a total length of `header + payload_len`. This is the
-    /// in-place half of [`Ipv4Repr::emit_header_into`]: transports that
-    /// build segments with packet headroom (see
-    /// `hgw_stack::tcp::SEGMENT_HEADROOM`) fill the reserved prefix with
-    /// this instead of appending, so the payload is never copied again.
+    /// Writes the IPv4 header (with a valid header checksum) into an `hdr`
+    /// slice of at least [`Ipv4Repr::header_len`] bytes, declaring a total
+    /// length of `header + payload_len`. This is the in-place half of
+    /// [`Ipv4Repr::emit_header_into`]: transports that build segments with
+    /// packet headroom (see `hgw_stack::tcp::SEGMENT_HEADROOM`) fill the
+    /// reserved prefix with this instead of appending, so the payload is
+    /// never copied again.
+    ///
+    /// The fixed 20 bytes are built as five words, summed from those words
+    /// and stored whole; only option bytes are summed from memory.
     pub fn write_header(&self, payload_len: usize, hdr: &mut [u8]) {
         let hl = self.header_len();
         let total = hl + payload_len;
         assert!(total <= u16::MAX as usize, "IPv4 packet too large");
-        hdr[field::VER_IHL] = 0x40 | (hl / 4) as u8;
-        write_u16(hdr, field::LENGTH, total as u16);
-        write_u16(hdr, field::IDENT, self.ident);
-        if self.dont_frag {
-            hdr[field::FLAGS_FRAG] = 0x40;
-        }
-        hdr[field::TTL] = self.ttl;
-        hdr[field::PROTOCOL] = self.protocol.number();
-        hdr[field::SRC_ADDR..field::SRC_ADDR + 4].copy_from_slice(&self.src_addr.octets());
-        hdr[field::DST_ADDR..field::DST_ADDR + 4].copy_from_slice(&self.dst_addr.octets());
+        let mut options_sum = 0;
         if !self.options.is_empty() {
             let mut opts = Vec::new();
             emit_options(&self.options, &mut opts);
             hdr[field::OPTIONS..field::OPTIONS + opts.len()].copy_from_slice(&opts);
+            options_sum = sum(&opts, 0);
         }
-        let ck = internet_checksum(&hdr[..hl]);
-        write_u16(hdr, field::CHECKSUM, ck);
+        let flags = if self.dont_frag { 0x4000 } else { 0 };
+        let mut words = [
+            (0x40 | (hl / 4) as u32) << 24 | total as u32,
+            (self.ident as u32) << 16 | flags,
+            (self.ttl as u32) << 24 | (self.protocol.number() as u32) << 16,
+            u32::from(self.src_addr),
+            u32::from(self.dst_addr),
+        ];
+        words[2] |= !fold(sum_header_words(&words) + options_sum) as u32;
+        write_header_words(hdr, words);
     }
 }
 

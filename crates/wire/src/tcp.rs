@@ -9,11 +9,11 @@
 use std::net::Ipv4Addr;
 
 use crate::checksum::{
-    copy_and_checksum, finish_transport_checksum, pseudo_header_sum, sum, transport_checksum,
-    verify_transport_checksum, ChecksumDelta,
+    copy_and_checksum, finish_transport_checksum, pseudo_header_sum, sum, sum_header_words,
+    transport_checksum, verify_transport_checksum, ChecksumDelta,
 };
 use crate::error::{WireError, WireResult};
-use crate::field::{read_u16, read_u32, write_u16, write_u32};
+use crate::field::{read_u16, read_u32, write_header_words, write_u16, write_u32};
 use crate::ip::Protocol;
 
 /// Minimum (option-less) TCP header length.
@@ -154,7 +154,6 @@ mod field {
     pub const FLAGS: usize = 13;
     pub const WINDOW: usize = 14;
     pub const CHECKSUM: usize = 16;
-    pub const URGENT: usize = 18;
     pub const OPTIONS: usize = 20;
 }
 
@@ -467,20 +466,21 @@ impl TcpRepr {
         payload: &[u8],
         buf: &mut Vec<u8>,
     ) {
-        let (base, hl) = self.emit_header_fields(buf);
+        let hl = self.header_len();
+        let base = buf.len();
+        // Zero-fill only the header region; appending the payload directly
+        // skips a redundant memset of up to an MSS per data segment.
+        buf.resize(base + hl, 0);
         // Fused copy+checksum: the payload is summed by the same pass that
         // appends it, so the segment is never re-read to fill the checksum.
         let payload_sum = copy_and_checksum(payload, buf);
-        self.finish_emit(src, dst, buf, base, hl, payload.len(), payload_sum);
+        self.write_header_with_sum(src, dst, payload.len(), payload_sum, &mut buf[base..]);
     }
 
     /// Like [`TcpRepr::emit_with_payload_onto`], but takes the payload's
     /// pre-computed pair sum (as returned by
-    /// [`copy_and_checksum`] or
-    /// `ByteQueue::copy_range_into_with_sum`) instead of summing during the
-    /// copy. This is the scatter-gather bulk path: the send buffer already
-    /// summed the payload when it materialized the segment, so emission
-    /// writes header and payload in one pass with zero checksum re-reads.
+    /// [`copy_and_checksum`] or a send buffer's
+    /// `copy_range_into_with_sum`) instead of summing during the copy.
     ///
     /// `payload_sum` must be the big-endian pair-space accumulator of
     /// exactly `payload`, computed as if it started at an even offset
@@ -494,18 +494,22 @@ impl TcpRepr {
         payload_sum: u32,
         buf: &mut Vec<u8>,
     ) {
-        let (base, hl) = self.emit_header_fields(buf);
+        let hl = self.header_len();
+        let base = buf.len();
+        buf.resize(base + hl, 0);
         buf.extend_from_slice(payload);
-        self.finish_emit(src, dst, buf, base, hl, payload.len(), payload_sum);
+        self.write_header_with_sum(src, dst, payload.len(), payload_sum, &mut buf[base..]);
     }
 
     /// Writes the complete header (fields, flags, options, checksum) into
-    /// the pre-zeroed prefix of `seg`, whose remainder already holds the
-    /// payload bytes whose pair sum is `payload_sum`. This is the in-place
-    /// counterpart of [`TcpRepr::emit_with_payload_sum_onto`] for buffers
-    /// built with packet headroom: the payload was written (and summed)
-    /// directly at its final offset, so emission touches only header bytes.
+    /// the first [`TcpRepr::header_len`] bytes of `seg`, whose remainder
+    /// already holds the payload bytes whose pair sum is `payload_sum`. For
+    /// buffers built with packet headroom the payload was written (and
+    /// summed) directly at its final offset, so emission touches only
+    /// header bytes.
     ///
+    /// The fixed 20 bytes are built as five words, summed from those words
+    /// and stored whole; only option bytes are summed from memory.
     /// `payload_sum` obeys the same even-offset contract as
     /// [`TcpRepr::emit_with_payload_sum_onto`].
     pub fn write_header_with_sum(
@@ -517,63 +521,23 @@ impl TcpRepr {
         seg: &mut [u8],
     ) {
         let hl = self.header_len();
-        self.write_header_fields(&mut seg[..hl]);
         let seg_len = (hl + payload_len) as u32;
-        let acc = sum(&seg[..hl], pseudo_header_sum(src, dst, Protocol::Tcp.number(), seg_len))
-            + payload_sum;
-        write_u16(seg, field::CHECKSUM, finish_transport_checksum(acc));
-    }
-
-    /// Appends the zero-checksum header (fields, flags, options) onto
-    /// `buf`; returns `(base, header_len)` for the checksum fixup.
-    fn emit_header_fields(&self, buf: &mut Vec<u8>) -> (usize, usize) {
-        let hl = self.header_len();
-        let base = buf.len();
-        // Zero-fill only the header region; appending the payload directly
-        // skips a redundant memset of up to an MSS per data segment.
-        buf.resize(base + hl, 0);
-        self.write_header_fields(&mut buf[base..base + hl]);
-        (base, hl)
-    }
-
-    /// Writes the zero-checksum header fields into a pre-zeroed slice of
-    /// exactly [`TcpRepr::header_len`] bytes.
-    fn write_header_fields(&self, seg: &mut [u8]) {
-        let hl = seg.len();
-        write_u16(seg, field::SRC_PORT, self.src_port);
-        write_u16(seg, field::DST_PORT, self.dst_port);
-        write_u32(seg, field::SEQ, self.seq.0);
-        write_u32(seg, field::ACK, self.ack.0);
-        seg[field::DATA_OFF] = ((hl / 4) as u8) << 4;
-        seg[field::FLAGS] = self.flags.0;
-        write_u16(seg, field::WINDOW, self.window);
-        write_u16(seg, field::URGENT, 0);
+        let mut acc = pseudo_header_sum(src, dst, Protocol::Tcp.number(), seg_len) + payload_sum;
         if !self.options.is_empty() {
             let mut opts = Vec::new();
             emit_options(&self.options, &mut opts);
             seg[field::OPTIONS..field::OPTIONS + opts.len()].copy_from_slice(&opts);
+            acc += sum(&opts, 0);
         }
-    }
-
-    /// Composes header + pseudo-header + payload sums and writes the
-    /// checksum field in place — no re-read of the emitted segment body.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_emit(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        buf: &mut [u8],
-        base: usize,
-        hl: usize,
-        payload_len: usize,
-        payload_sum: u32,
-    ) {
-        let seg_len = (hl + payload_len) as u32;
-        let acc = sum(
-            &buf[base..base + hl],
-            pseudo_header_sum(src, dst, Protocol::Tcp.number(), seg_len),
-        ) + payload_sum;
-        write_u16(&mut buf[base..], field::CHECKSUM, finish_transport_checksum(acc));
+        let mut words = [
+            (self.src_port as u32) << 16 | self.dst_port as u32,
+            self.seq.0,
+            self.ack.0,
+            ((hl / 4) as u32) << 28 | (self.flags.0 as u32) << 16 | self.window as u32,
+            0, // checksum and urgent pointer
+        ];
+        words[4] = (finish_transport_checksum(acc + sum_header_words(&words)) as u32) << 16;
+        write_header_words(seg, words);
     }
 
     /// Total segment length for a given payload.

@@ -2,9 +2,12 @@
 
 use std::net::Ipv4Addr;
 
-use crate::checksum::{transport_checksum, verify_transport_checksum, ChecksumDelta};
+use crate::checksum::{
+    copy_and_checksum, finish_transport_checksum, pseudo_header_sum, sum_header_words,
+    transport_checksum, verify_transport_checksum, ChecksumDelta,
+};
 use crate::error::{WireError, WireResult};
-use crate::field::{read_u16, write_u16};
+use crate::field::{read_u16, write_u16, write_u64};
 use crate::ip::Protocol;
 
 /// Fixed UDP header length.
@@ -164,18 +167,22 @@ impl UdpRepr {
     }
 
     /// Appends the complete datagram to `buf` — after an IP header, say,
-    /// so a frame is built in one pooled buffer.
+    /// so a frame is built in one pooled buffer. The payload is summed as
+    /// it is copied and the header is summed from its fields, then stored
+    /// in one 8-byte write.
     pub fn emit_onto(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], buf: &mut Vec<u8>) {
         let total = HEADER_LEN + payload.len();
         assert!(total <= u16::MAX as usize, "UDP datagram too large");
         let base = buf.len();
         buf.resize(base + HEADER_LEN, 0);
-        buf.extend_from_slice(payload);
-        let datagram = &mut buf[base..];
-        write_u16(datagram, field::SRC_PORT, self.src_port);
-        write_u16(datagram, field::DST_PORT, self.dst_port);
-        write_u16(datagram, field::LENGTH, total as u16);
-        UdpPacket::new_unchecked(datagram).fill_checksum(src, dst);
+        let payload_sum = copy_and_checksum(payload, buf);
+        let ports = (self.src_port as u32) << 16 | self.dst_port as u32;
+        let length = (total as u32) << 16; // and a zero checksum
+        let acc = pseudo_header_sum(src, dst, Protocol::Udp.number(), total as u32)
+            + payload_sum
+            + sum_header_words(&[ports, length]);
+        let checksum = finish_transport_checksum(acc) as u32;
+        write_u64(buf, base, (ports as u64) << 32 | (length | checksum) as u64);
     }
 }
 

@@ -475,6 +475,117 @@ proptest! {
         prop_assert_eq!(legacy, onto);
     }
 
+    /// `Ipv4Repr::write_header` builds and sums the fixed header from its
+    /// fields: its bytes must equal a header laid out byte by byte and
+    /// checksummed from memory, over garbage it fully overwrites.
+    #[test]
+    fn ipv4_header_from_fields_matches_byte_sum(
+        src in arb_addr(),
+        dst in arb_addr(),
+        ttl in any::<u8>(),
+        ident in any::<u16>(),
+        dont_frag in any::<bool>(),
+        protocol in any::<u8>(),
+        record_route in any::<bool>(),
+        payload_len in 0usize..1481,
+    ) {
+        let mut ip = Ipv4Repr::new(src, dst, Protocol::from(protocol));
+        ip.ttl = ttl;
+        ip.ident = ident;
+        ip.dont_frag = dont_frag;
+        if record_route {
+            ip.options = vec![Ipv4Option::RecordRoute { pointer: 4, data: vec![0; 8] }];
+        }
+        let hl = ip.header_len();
+        let mut got = vec![0xA5; hl];
+        ip.write_header(payload_len, &mut got);
+
+        let total = ((hl + payload_len) as u16).to_be_bytes();
+        let mut want = vec![0x40 | (hl / 4) as u8, 0, total[0], total[1]];
+        want.extend_from_slice(&ident.to_be_bytes());
+        want.extend_from_slice(&[if dont_frag { 0x40 } else { 0 }, 0, ttl, protocol, 0, 0]);
+        want.extend_from_slice(&src.octets());
+        want.extend_from_slice(&dst.octets());
+        if record_route {
+            want.extend_from_slice(&[7, 11, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        }
+        let ck = internet_checksum(&want);
+        want[10..12].copy_from_slice(&ck.to_be_bytes());
+        prop_assert_eq!(got, want);
+    }
+
+    /// `TcpRepr::write_header_with_sum` against a segment laid out byte by
+    /// byte and checksummed from memory, for every flag byte.
+    #[test]
+    fn tcp_header_from_fields_matches_byte_sum(
+        src in arb_addr(),
+        dst in arb_addr(),
+        ports in any::<[u8; 4]>(),
+        seq in any::<u32>(),
+        ack in any::<u32>(),
+        window in any::<u16>(),
+        with_mss in any::<bool>(),
+        mss_value in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let sport = u16::from_be_bytes([ports[0], ports[1]]);
+        let dport = u16::from_be_bytes([ports[2], ports[3]]);
+        let mss = with_mss.then_some(mss_value);
+        for flags in 0..=u8::MAX {
+            let mut tcp = TcpRepr::new(sport, dport, TcpFlags(flags));
+            tcp.seq = SeqNumber(seq);
+            tcp.ack = SeqNumber(ack);
+            tcp.window = window;
+            tcp.options = mss.map(TcpOption::MaxSegmentSize).into_iter().collect();
+            let hl = tcp.header_len();
+            let mut got = vec![0xA5; hl];
+            got.extend_from_slice(&payload);
+            let mut scratch = Vec::new();
+            let payload_sum = hgw_wire::checksum::copy_and_checksum(&payload, &mut scratch);
+            tcp.write_header_with_sum(src, dst, payload.len(), payload_sum, &mut got);
+
+            let mut want = ports.to_vec();
+            want.extend_from_slice(&seq.to_be_bytes());
+            want.extend_from_slice(&ack.to_be_bytes());
+            want.extend_from_slice(&[((hl / 4) as u8) << 4, flags]);
+            want.extend_from_slice(&window.to_be_bytes());
+            want.extend_from_slice(&[0, 0, 0, 0]);
+            if let Some(m) = mss {
+                want.extend_from_slice(&[2, 4]);
+                want.extend_from_slice(&m.to_be_bytes());
+            }
+            want.extend_from_slice(&payload);
+            let ck = transport_checksum(src, dst, 6, &want);
+            want[16..18].copy_from_slice(&ck.to_be_bytes());
+            prop_assert_eq!(&got, &want, "flags {:#04x}", flags);
+        }
+    }
+
+    /// `UdpRepr::emit_onto` against a datagram laid out byte by byte and
+    /// checksummed from memory, odd payload lengths included, appended
+    /// after a prefix of either parity.
+    #[test]
+    fn udp_header_from_fields_matches_byte_sum(
+        src in arb_addr(),
+        dst in arb_addr(),
+        sport in any::<u16>(),
+        dport in any::<u16>(),
+        prefix in 0usize..3,
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let mut got = vec![0x5A; prefix];
+        UdpRepr { src_port: sport, dst_port: dport }.emit_onto(src, dst, &payload, &mut got);
+
+        let mut want = sport.to_be_bytes().to_vec();
+        want.extend_from_slice(&dport.to_be_bytes());
+        want.extend_from_slice(&((8 + payload.len()) as u16).to_be_bytes());
+        want.extend_from_slice(&[0, 0]);
+        want.extend_from_slice(&payload);
+        let ck = transport_checksum(src, dst, 17, &want);
+        want[6..8].copy_from_slice(&ck.to_be_bytes());
+        prop_assert_eq!(&got[prefix..], &want[..]);
+    }
+
     #[test]
     fn parser_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..128)) {
         // Fuzz every parser entry point: errors are fine, panics are not.
