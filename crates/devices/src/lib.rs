@@ -5,13 +5,16 @@
 //! record of vendor/model/firmware) and a
 //! [`GatewayPolicy`](hgw_gateway::GatewayPolicy) calibrated so the
 //! measurement suite reproduces the published per-device and population
-//! results (see `DESIGN.md` §5 for the calibration policy and
-//! `tools/calibrate.py` for the constraint solving).
+//! results. The calibration is a set of `const` tables, one per figure in
+//! the figure's x-axis order, evaluated at compile time into a `static`
+//! registry; the tests below check every stated value, population
+//! statistic, count and figure order against them (see `DESIGN.md` §5 for
+//! the calibration policy).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod data;
+mod calibration;
 pub mod profile;
 pub mod sampler;
 
@@ -20,17 +23,17 @@ pub use sampler::{synthetic_fleet, ProfileSpace};
 
 /// Returns all 34 device profiles in Table 1 order.
 pub fn all_devices() -> Vec<DeviceProfile> {
-    data::DEVICES.to_vec()
+    calibration::DEVICES.to_vec()
 }
 
 /// Looks up a device by its paper tag.
 pub fn device(tag: &str) -> Option<DeviceProfile> {
-    data::DEVICES.iter().find(|d| d.tag == tag).copied()
+    calibration::DEVICES.iter().find(|d| d.tag == tag).copied()
 }
 
 /// The tags in Table 1 order.
 pub fn all_tags() -> Vec<&'static str> {
-    data::DEVICES.iter().map(|d| d.tag).collect()
+    calibration::DEVICES.iter().map(|d| d.tag).collect()
 }
 
 #[cfg(test)]
@@ -89,6 +92,8 @@ mod tests {
         assert!((a1 - 160.41).abs() < 0.01, "Figure 3 population mean, got {a1}");
         let (m2, a2) = pop(|d| d.expected.udp2_secs);
         assert_eq!(m2, 180.0, "Figure 4 population median");
+        let min2 = devices.iter().map(|d| d.expected.udp2_secs).fold(f64::INFINITY, f64::min);
+        assert_eq!(min2, 54.0, "Figure 4 population minimum");
         assert!((a2 - 174.67).abs() < 0.05, "Figure 4 population mean, got {a2}");
         let (m3, a3) = pop(|d| d.expected.udp3_secs);
         assert_eq!(m3, 181.0, "Figure 5 population median");
@@ -99,6 +104,44 @@ mod tests {
         let (m10, a10) = pop(|d| d.expected.max_bindings as f64);
         assert_eq!(m10, 135.5, "Figure 10 population median");
         assert!((a10 - 259.21).abs() < 0.01, "Figure 10 population mean, got {a10}");
+    }
+
+    #[test]
+    fn values_rise_along_each_figure_order() {
+        // Reconstructed values must keep the x-axis order the paper plots:
+        // walk each figure's table in its order and read what the registry
+        // serves for each device.
+        fn check(figure: &str, order: &[&str], value: fn(&Expected) -> f64) {
+            let values: Vec<f64> =
+                order.iter().map(|t| value(&device(t).unwrap().expected)).collect();
+            for (i, pair) in values.windows(2).enumerate() {
+                assert!(
+                    pair[0] <= pair[1],
+                    "{figure}: {} ({}) plotted before {} ({})",
+                    order[i],
+                    pair[0],
+                    order[i + 1],
+                    pair[1]
+                );
+            }
+        }
+        check("Figure 3", &calibration::UDP1.map(|(t, _)| t), |e| e.udp1_secs);
+        check("Figure 4", &calibration::UDP2.map(|(t, _)| t), |e| e.udp2_secs);
+        check("Figure 5", &calibration::UDP3.map(|(t, _)| t), |e| e.udp3_secs);
+        check("Figure 7", &calibration::TCP1.map(|(t, _)| t), |e| e.tcp1_mins);
+        check("Figure 10", &calibration::TCP4.map(|(t, _)| t), |e| e.max_bindings as f64);
+    }
+
+    #[test]
+    fn profiles_match_their_recorded_dump() {
+        // Pins every field of all 34 profiles: the length and FNV-1a
+        // digest of their `{:?}` dump. A deliberate calibration change
+        // must re-record both.
+        let dump = format!("{:?}", all_devices());
+        let digest = dump.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((dump.len(), digest), (44_533, 0x3ad7_3aa4_9ead_b05c));
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl IcmpKindSet {
 
     /// The minimal set every device except nw1 supports: Port Unreachable
     /// and TTL Exceeded (§4.3).
-    pub fn baseline() -> IcmpKindSet {
+    pub const fn baseline() -> IcmpKindSet {
         IcmpKindSet::NONE.with(IcmpErrorKind::PortUnreachable).with(IcmpErrorKind::TtlExceeded)
     }
 

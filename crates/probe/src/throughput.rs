@@ -288,6 +288,16 @@ mod tests {
     }
 
     #[test]
+    fn transfer_ending_inside_a_stamp_record_completes() {
+        // 2 049 bytes: one whole record, then the first byte of the next.
+        let mut tb = Testbed::new("thr-tail", GatewayPolicy::well_behaved(), 5, 3);
+        let r = run_transfer(&mut tb, 5001, Direction::Upload, 2049);
+        assert!(r.completed, "transfer stalled at {} bytes", r.bytes);
+        assert_eq!(r.bytes, 2049);
+        assert_eq!(r.delay_ms, 0.0, "one stamp, normalized to zero");
+    }
+
+    #[test]
     fn delay_statistic_normalizes_and_takes_median() {
         let stats = SinkStats {
             bytes: 0,

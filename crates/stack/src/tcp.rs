@@ -215,19 +215,22 @@ impl BulkSendBuffer {
 
     /// Generates up to `space` more bytes at time `now`; returns how many.
     /// A record is generated whole or not at all, so generation stops
-    /// short of a record that does not fit in `space`.
+    /// short of a record that does not fit in `space`. A stream whose
+    /// `total` ends inside a record ends with that record's first bytes:
+    /// the stream is always a prefix of the endless stamped stream.
     pub fn generate(&mut self, now: Instant, space: usize) -> usize {
         let begin = self.end;
         let mut space = (space as u64).min(self.remaining());
         while space > 0 && self.remaining() > 0 {
             let in_block = self.end % self.stamp_every;
             if in_block == 0 {
-                if space < 16 || self.remaining() < 16 {
+                let record = self.remaining().min(16);
+                if space < record {
                     break; // wait for room for a whole record
                 }
                 self.stamps.push_back(now.as_nanos());
-                self.end += 16;
-                space -= 16;
+                self.end += record;
+                space -= record;
             } else {
                 let run = (self.stamp_every - in_block).min(space);
                 self.end += run;
@@ -1664,13 +1667,16 @@ mod tests {
                 let pos = self.generated;
                 let in_block = pos % self.stamp_every;
                 if in_block == 0 {
-                    if space < 16 || remaining(self) < 16 {
+                    let record = remaining(self).min(16);
+                    if space < record {
                         break;
                     }
-                    self.queue.extend_from_slice(&STAMP_MAGIC.to_be_bytes());
-                    self.queue.extend_from_slice(&now.as_nanos().to_be_bytes());
-                    self.generated += 16;
-                    space -= 16;
+                    let mut bytes = [0u8; 16];
+                    bytes[..8].copy_from_slice(&STAMP_MAGIC.to_be_bytes());
+                    bytes[8..].copy_from_slice(&now.as_nanos().to_be_bytes());
+                    self.queue.extend_from_slice(&bytes[..record as usize]);
+                    self.generated += record;
+                    space -= record;
                 } else {
                     let run = (self.stamp_every - in_block).min(space).min(remaining(self));
                     for p in pos..pos + run {
@@ -1703,6 +1709,7 @@ mod tests {
             (3, 17, 90_000),
             (4, 1000, 300_007),
             (5, 5000, 1 << 19),
+            (6, 2048, 2048 * 40 + 10),
         ] {
             let mut rng = hgw_core::SimRng::new(seed);
             let mut bulk = BulkSendBuffer::new(total, stamp_every);
@@ -1756,6 +1763,58 @@ mod tests {
                 assert!(bulk.stamps.len() as u64 <= bulk.len() as u64 / stamp_every as u64 + 2);
             }
         }
+    }
+
+    /// A stream whose total ends inside a record drains: the last record
+    /// is cut to the bytes left and still generated whole or not at all.
+    #[test]
+    fn a_stream_ending_inside_a_record_drains() {
+        let now = Instant::from_millis(1);
+        let mut bulk = BulkSendBuffer::new(2048 + 10, 2048);
+        assert_eq!(bulk.generate(now, 2048 + 5), 2048, "no room for the 10-byte record");
+        assert_eq!(bulk.generate(now, 10), 10);
+        assert_eq!(bulk.remaining(), 0);
+        let mut tail = Vec::new();
+        bulk.copy_range_into_with_sum(2048, 64, &mut tail);
+        let mut record = STAMP_MAGIC.to_be_bytes().to_vec();
+        record.extend_from_slice(&now.as_nanos().to_be_bytes());
+        assert_eq!(tail, record[..10]);
+    }
+
+    /// A 2 049-byte transfer completes with every byte of the stream, and
+    /// the sink reads the one whole record as a stamp but not the single
+    /// byte of the cut record after it.
+    #[test]
+    fn bulk_transfer_ending_inside_a_record_completes() {
+        let run = |c: &mut TcpSocket, s: &mut TcpSocket, now: Instant| {
+            let mut t = now;
+            for _ in 0..50 {
+                if c.bulk_unfinished() == 0 {
+                    break;
+                }
+                c.on_timer(t);
+                s.on_timer(t);
+                pump(c, s, t, None);
+                t += Duration::from_millis(1);
+            }
+            assert_eq!(c.bulk_unfinished(), 0);
+        };
+        let (mut c, mut s, now) = established_pair();
+        c.set_bulk_source(2049, 2048);
+        run(&mut c, &mut s, now);
+        let got = s.recv(4096);
+        assert_eq!(got.len(), 2049);
+        assert_eq!(got[..8], STAMP_MAGIC.to_be_bytes());
+        assert!((16..2048).all(|p| got[p] == p as u8), "filler is the stream position");
+        assert_eq!(got[2048], STAMP_MAGIC.to_be_bytes()[0], "the cut record's first byte");
+
+        let (mut c, mut s, now) = established_pair();
+        c.set_bulk_source(2049, 2048);
+        s.set_sink(2048);
+        run(&mut c, &mut s, now);
+        let stats = s.sink_stats().unwrap();
+        assert_eq!(stats.bytes, 2049);
+        assert_eq!(stats.stamps.len(), 1);
     }
 
     /// The closed-form filler sum against the wide sum of the same bytes,
