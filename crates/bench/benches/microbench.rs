@@ -12,11 +12,14 @@
 //! `hgw_bench::micro`); `HGW_BENCH_LABEL` names the capture (default
 //! `run`). The committed `BENCH_micro.json` at the repo root tracks the
 //! before/after trajectory of every data-plane optimization.
+//!
+//! The run ends with its telemetry dispatch budget verdict
+//! ([`TelemetryBudget`]), computed from legs timed in this same run.
 
 use std::net::Ipv4Addr;
 use std::time::Instant as WallInstant;
 
-use hgw_bench::micro::MicroResult;
+use hgw_bench::micro::{MicroResult, TelemetryBudget};
 use hgw_core::{
     impl_node_downcast, Node, NodeCtx, PortId, SimCore, SimNode, Simulator, TimerToken,
 };
@@ -590,11 +593,11 @@ fn bench_telemetry(results: &mut Vec<MicroResult>) {
         v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
         h.record(v >> 40);
     });
-    // The legs `bench_diff` machine-checks: three identical boxed engines
-    // on the timer-only path, one with telemetry (histograms and flight
-    // recorder) enabled, one with it disabled, one plain. The disabled leg
-    // is what every run without telemetry pays for carrying its branches;
-    // `bench_diff` holds it to the ≤2% budget against the plain leg. The
+    // The legs `TelemetryBudget` machine-checks: three identical boxed
+    // engines on the timer-only path, one with telemetry (histograms and
+    // flight recorder) enabled, one with it disabled, one plain. The
+    // disabled leg is what every run without telemetry pays for carrying
+    // its branches; it is held to the ≤2% budget against the plain leg. The
     // legs take turns in TELEMETRY_REPEATS rounds, in alternating order,
     // and each reports its median round, so a machine-speed shift during
     // the run lands on all three instead of deciding the verdict.
@@ -658,5 +661,9 @@ fn main() {
             Ok(()) => println!("capture '{label}' appended to {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),
         }
+    }
+    match TelemetryBudget::evaluate(&results) {
+        Some(verdict) => println!("{verdict}"),
+        None => println!("telemetry dispatch: a budget leg is missing — no verdict"),
     }
 }

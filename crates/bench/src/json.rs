@@ -1,11 +1,10 @@
 //! Minimal JSON reader for the subset this crate's hand-rolled writers
 //! emit (objects, arrays, strings, numbers, `null`, booleans).
 //!
-//! The build environment has no serde, so every `hgw-*` JSON document —
-//! microbench captures, fleet manifests, flight-recorder dumps — is both
-//! written and read by hand. This recursive-descent parser started life
-//! private to [`crate::micro`]; the `telemetry` inspection binary reads
-//! flight-recorder dumps through it too, so it is a crate-public module.
+//! The build environment has no serde, so every `hgw-*` JSON document is
+//! written by hand, and the inspection binaries (`telemetry` for
+//! flight-recorder dumps, `nat_timeline` for its recordings) read theirs
+//! back through this recursive-descent parser.
 
 /// A parsed JSON value. Object fields keep document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,14 +47,6 @@ impl Value {
     }
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    /// The numeric value, treating `null` (or anything non-numeric) as
-    /// absent.
-    pub fn as_f64_or_null(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
@@ -244,7 +235,7 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(2.5));
         assert_eq!(arr[2], Value::Null);
-        assert_eq!(arr[2].as_f64_or_null(), None);
+        assert_eq!(arr[2].as_f64(), None);
         assert_eq!(arr[3], Value::Bool(true));
         assert_eq!(field(obj, "b").unwrap().as_str(), Some("x\n\"y\" \u{e9}"));
         assert!(field(obj, "missing").is_err());

@@ -15,49 +15,22 @@ use hgw_probe::household::HouseholdFleetSummary;
 
 /// Schema identifier stamped into every manifest.
 ///
-/// `/2` adds the `scheduling` block: parallelism mode, resolved worker
-/// count, host parallelism, per-worker scheduling counters, and the
-/// measured wall-clock speedup over a sequential run of the same campaign.
+/// `/2` added the `scheduling` block, `/3` the per-device `delay` block
+/// (`one_way`, `queue_residency`, `nat_processing` summaries, `null`
+/// without telemetry; always `null` in the totals row), `/4` the
+/// `scheduling.batch_size` field and the optional `fleet_distributions`
+/// block (mega-fleet manifests carry `per_device: null`; see
+/// [`render_mega_manifest`]), `/5` the optional `household` block, `/6`
+/// per-leg wall-clock `scheduling.legs`, and `/7` the optional
+/// `binding_lifecycle` block.
 ///
-/// `/3` adds the per-device `delay` block: `one_way`, `queue_residency`,
-/// and `nat_processing` latency summaries (`{count, p50_ns, p90_ns,
-/// p99_ns, max_ns}`), each `null` when the campaign ran without telemetry.
-/// The totals row's `delay` is always `null` — percentiles do not
-/// aggregate across devices.
-///
-/// `/4` adds the mega-fleet scheduling and distribution fields:
-/// `scheduling.batch_size` (devices per work-queue handout) and per-worker
-/// `batches` / `pool_reused` counters, plus the optional top-level
-/// `fleet_distributions` block — population totals, the UDP-1
-/// binding-timeout CDF in deciseconds, the binding-cap histogram, and the
-/// across-device spread of per-device delay percentiles (`null` when the
-/// campaign did not aggregate distributions). Mega-fleet campaigns emit a
-/// manifest with `per_device: null` instead of thousands of rows; see
-/// [`render_mega_manifest`]. `EXPERIMENTS.md` documents the full lineage.
-///
-/// `/5` adds the optional top-level `household` block — the multi-host
-/// workload campaign's fleet aggregate: flow mix counters, NAT
-/// binding-table churn (`created`/`expired`/`refreshed`, mean
-/// `churn_per_min`), port-exhaustion onset (`exhausted_devices`,
-/// `earliest_onset_secs`), merged per-flow goodput and delay
-/// distributions, and the mean Jain fairness index. `null` when the
-/// campaign ran without a household leg.
-///
-/// `/6` adds `scheduling.legs`: one entry per measured leg of the campaign
-/// (the sequential baseline first when one was run, then the recorded
-/// leg), each with its parallelism mode, resolved worker count, and
-/// wall-clock — so per-leg timing is explicit instead of being inferred
-/// from the `speedup_vs_sequential` scalar, and a parallel leg that loses
-/// to sequential is visible at a glance.
-///
-/// `/7` adds the optional top-level `binding_lifecycle` block — the
-/// household leg's fleet aggregate of the always-on NAT lifecycle
-/// counters: per-kind event totals (`created` … `port_preserved_reuse`),
-/// the per-device churn-rate distribution in events/minute, the pooled
-/// live-binding occupancy distribution, the per-device refusal-onset
-/// distribution in seconds, and `exhausted_devices`. `null` when the
-/// manifest was rendered without the household leg.
-pub const SCHEMA: &str = "hgw-fleet-manifest/7";
+/// `/8` drops every wall-clock field, so a manifest is a pure function of
+/// the campaign and the committed copies are gated byte for byte: the
+/// per-device and totals rows lose `wall_ms` and `events_per_sec`, and
+/// `scheduling` keeps only `mode`, `workers` and `batch_size`. The run
+/// that measured the timings prints them on stdout. `EXPERIMENTS.md`
+/// documents the full lineage.
+pub const SCHEMA: &str = "hgw-fleet-manifest/8";
 
 /// Escapes a string for embedding in hand-emitted JSON.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -111,17 +84,14 @@ fn delay_json(metrics: &DeviceRunMetrics) -> String {
 fn device_json(tag: &str, metrics: &DeviceRunMetrics) -> String {
     format!(
         concat!(
-            "    {{\"device\": \"{}\", \"wall_ms\": {:.3}, \"events\": {}, ",
-            "\"events_per_sec\": {:.0}, \"frames_delivered\": {}, ",
+            "    {{\"device\": \"{}\", \"events\": {}, \"frames_delivered\": {}, ",
             "\"frames_dropped_total\": {}, \"frames_dropped_by_reason\": {}, ",
             "\"trace_events\": {}, \"nat_bindings_created\": {}, ",
             "\"nat_bindings_expired\": {}, \"nat_bindings_peak\": {}, ",
             "\"delay\": {}}}"
         ),
         json_escape(tag),
-        metrics.wall_ms,
         metrics.events,
-        metrics.events_per_sec,
         metrics.frames_delivered,
         metrics.frames_dropped.total(),
         drops_json(metrics),
@@ -133,51 +103,11 @@ fn device_json(tag: &str, metrics: &DeviceRunMetrics) -> String {
     )
 }
 
-/// One `scheduling.legs` entry: the leg's mode, the worker count it
-/// resolved to, and its measured wall-clock.
-fn leg_json(leg: &SchedulingReport) -> String {
+/// The `scheduling` block: the campaign's deterministic configuration.
+fn scheduling_json(s: &SchedulingReport) -> String {
     format!(
-        "{{\"mode\": \"{}\", \"workers\": {}, \"wall_ms\": {:.3}}}",
-        leg.parallelism, leg.workers, leg.wall_ms
-    )
-}
-
-fn scheduling_json(scheduling: &SchedulingReport, sequential: Option<&SchedulingReport>) -> String {
-    let workers: Vec<String> = scheduling
-        .per_worker
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"worker\": {}, \"devices_run\": {}, \"batches\": {}, \
-                 \"pool_reused\": {}, \"busy_ms\": {:.3}}}",
-                w.worker, w.devices_run, w.batches, w.pool_reused, w.busy_ms
-            )
-        })
-        .collect();
-    let sequential_wall_ms = sequential.map(|s| s.wall_ms);
-    let speedup = sequential_wall_ms
-        .filter(|seq| scheduling.wall_ms > 0.0 && *seq > 0.0)
-        .map(|seq| format!("{:.2}", seq / scheduling.wall_ms))
-        .unwrap_or_else(|| "null".to_string());
-    // The baseline leg (when run) comes first, then the recorded leg.
-    let legs: Vec<String> =
-        sequential.iter().chain(std::iter::once(&scheduling)).map(|s| leg_json(s)).collect();
-    format!(
-        concat!(
-            "{{\"mode\": \"{}\", \"workers\": {}, \"host_parallelism\": {}, ",
-            "\"batch_size\": {}, ",
-            "\"wall_ms\": {:.3}, \"sequential_wall_ms\": {}, ",
-            "\"speedup_vs_sequential\": {}, \"legs\": [{}], \"per_worker\": [{}]}}"
-        ),
-        scheduling.parallelism,
-        scheduling.workers,
-        scheduling.host_parallelism,
-        scheduling.batch_size,
-        scheduling.wall_ms,
-        sequential_wall_ms.map(|v| format!("{v:.3}")).unwrap_or_else(|| "null".to_string()),
-        speedup,
-        legs.join(", "),
-        workers.join(", "),
+        "{{\"mode\": \"{}\", \"workers\": {}, \"batch_size\": {}}}",
+        s.parallelism, s.workers, s.batch_size
     )
 }
 
@@ -297,27 +227,21 @@ pub fn binding_lifecycle_json(s: &LifecycleFleetSummary) -> String {
 
 /// Renders the full fleet manifest as a JSON string.
 ///
-/// `scheduling` is the parallel (or only) campaign's scheduling metadata;
-/// `sequential`, when present, is the full scheduling report of the same
-/// campaign under `Parallelism::Sequential` and yields the manifest's
-/// `sequential_wall_ms` / `speedup_vs_sequential` fields plus the leading
-/// entry of the `/6` `legs` array. `distributions`, when present, becomes
-/// the `fleet_distributions` block (rendered as `null` otherwise);
-/// `household`, when present, becomes the `/5` `household` block;
-/// `binding_lifecycle`, when present, becomes the `/7` `binding_lifecycle`
-/// block.
+/// `scheduling` supplies the `scheduling` block. `distributions`, when
+/// present, becomes the `fleet_distributions` block (rendered as `null`
+/// otherwise); `household`, when present, becomes the `/5` `household`
+/// block; `binding_lifecycle`, when present, becomes the `/7`
+/// `binding_lifecycle` block.
 pub fn render_fleet_manifest(
     seed: u64,
     per_device: &[(String, DeviceRunMetrics)],
     scheduling: &SchedulingReport,
-    sequential: Option<&SchedulingReport>,
     distributions: Option<&FleetDistributions>,
     household: Option<&HouseholdFleetSummary>,
     binding_lifecycle: Option<&LifecycleFleetSummary>,
 ) -> String {
     let mut total = DeviceRunMetrics::default();
     for (_, m) in per_device {
-        total.wall_ms += m.wall_ms;
         total.events += m.events;
         total.frames_delivered += m.frames_delivered;
         total.frames_dropped.merge(&m.frames_dropped);
@@ -326,15 +250,13 @@ pub fn render_fleet_manifest(
         total.nat_bindings_expired += m.nat_bindings_expired;
         total.nat_bindings_peak = total.nat_bindings_peak.max(m.nat_bindings_peak);
     }
-    total.events_per_sec =
-        if total.wall_ms > 0.0 { total.events as f64 / (total.wall_ms / 1e3) } else { 0.0 };
     let rows: Vec<String> = per_device.iter().map(|(tag, m)| device_json(tag, m)).collect();
     format!(
         "{{\n  \"schema\": \"{}\",\n  \"seed\": {},\n  \"devices\": {},\n  \"scheduling\": {},\n  \"fleet_distributions\": {},\n  \"household\": {},\n  \"binding_lifecycle\": {},\n  \"totals\": {},\n  \"per_device\": [\n{}\n  ]\n}}\n",
         SCHEMA,
         seed,
         per_device.len(),
-        scheduling_json(scheduling, sequential),
+        scheduling_json(scheduling),
         distributions.map(distributions_json).unwrap_or_else(|| "null".to_string()),
         household.map(household_json).unwrap_or_else(|| "null".to_string()),
         binding_lifecycle.map(binding_lifecycle_json).unwrap_or_else(|| "null".to_string()),
@@ -350,14 +272,13 @@ pub fn render_mega_manifest(
     seed: u64,
     distributions: &FleetDistributions,
     scheduling: &SchedulingReport,
-    sequential: Option<&SchedulingReport>,
 ) -> String {
     format!(
         "{{\n  \"schema\": \"{}\",\n  \"seed\": {},\n  \"devices\": {},\n  \"scheduling\": {},\n  \"fleet_distributions\": {},\n  \"per_device\": null\n}}\n",
         SCHEMA,
         seed,
         distributions.devices,
-        scheduling_json(scheduling, sequential),
+        scheduling_json(scheduling),
         distributions_json(distributions),
     )
 }
@@ -375,7 +296,9 @@ pub fn write_manifest(path: &Path, contents: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use hgw_core::DropReason;
-    use hgw_probe::fleet::{Parallelism, WorkerStats};
+    use hgw_probe::fleet::{FleetRunner, Parallelism, WorkerStats};
+    use hgw_probe::throughput::{run_transfer, Direction};
+    use hgw_probe::udp_timeout::measure_udp1;
 
     fn test_scheduling() -> SchedulingReport {
         SchedulingReport {
@@ -418,12 +341,11 @@ mod tests {
             None,
             None,
             None,
-            None,
         );
         for reason in DropReason::ALL {
             assert!(json.contains(reason.name()), "missing key {}", reason.name());
         }
-        assert!(json.contains("\"schema\": \"hgw-fleet-manifest/7\""));
+        assert!(json.contains("\"schema\": \"hgw-fleet-manifest/8\""));
         assert!(json.contains("\"device\": \"ls1\""));
         assert!(json.contains("\"nat_bindings_peak\": 0"));
     }
@@ -439,11 +361,10 @@ mod tests {
             None,
             None,
             None,
-            None,
         );
         assert!(json.contains("\"devices\": 2"));
         // The totals row carries the merged event count and max peak.
-        assert!(json.contains("\"device\": \"*\", \"wall_ms\": 0.000, \"events\": 15"));
+        assert!(json.contains("\"device\": \"*\", \"events\": 15"));
         assert!(json.contains("\"nat_bindings_peak\": 7, \"delay\": null}"));
     }
 
@@ -463,7 +384,6 @@ mod tests {
             None,
             None,
             None,
-            None,
         );
         assert!(
             json.contains(
@@ -479,92 +399,27 @@ mod tests {
         assert!(totals_row.contains("\"delay\": null"), "{totals_row}");
     }
 
-    /// The sequential-baseline leg paired with [`test_scheduling`].
-    fn test_sequential() -> SchedulingReport {
-        SchedulingReport {
-            parallelism: Parallelism::Sequential,
-            workers: 1,
-            host_parallelism: 8,
-            batch_size: 1,
-            wall_ms: 250.0,
-            per_worker: vec![],
+    #[test]
+    fn scheduling_block_holds_only_the_configuration() {
+        let json = render_fleet_manifest(
+            1,
+            &[("a".to_string(), DeviceRunMetrics::default())],
+            &test_scheduling(),
+            None,
+            None,
+            None,
+        );
+        assert!(
+            json.contains(
+                "\"scheduling\": {\"mode\": \"fixed(4)\", \"workers\": 4, \"batch_size\": 2},"
+            ),
+            "{json}"
+        );
+        // No wall clock anywhere: not per device, not in the totals, not
+        // in the scheduling block.
+        for key in ["wall_ms", "events_per_sec", "busy_ms", "speedup", "host_parallelism"] {
+            assert!(!json.contains(key), "{key} in {json}");
         }
-    }
-
-    #[test]
-    fn scheduling_block_reports_speedup() {
-        let json = render_fleet_manifest(
-            1,
-            &[("a".to_string(), DeviceRunMetrics::default())],
-            &test_scheduling(),
-            Some(&test_sequential()),
-            None,
-            None,
-            None,
-        );
-        assert!(json.contains("\"mode\": \"fixed(4)\""), "{json}");
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"host_parallelism\": 8"));
-        assert!(json.contains("\"sequential_wall_ms\": 250.000"));
-        assert!(json.contains("\"speedup_vs_sequential\": 2.50"));
-        assert!(json.contains("\"batch_size\": 2"));
-        assert!(json.contains(
-            "{\"worker\": 0, \"devices_run\": 1, \"batches\": 1, \"pool_reused\": 0, \
-             \"busy_ms\": 90.000}"
-        ));
-    }
-
-    #[test]
-    fn scheduling_block_records_per_leg_wall_clock() {
-        let json = render_fleet_manifest(
-            1,
-            &[("a".to_string(), DeviceRunMetrics::default())],
-            &test_scheduling(),
-            Some(&test_sequential()),
-            None,
-            None,
-            None,
-        );
-        // Sequential baseline first, recorded leg second, each with its own
-        // mode, worker count, and wall-clock.
-        assert!(
-            json.contains(
-                "\"legs\": [{\"mode\": \"sequential\", \"workers\": 1, \"wall_ms\": 250.000}, \
-                 {\"mode\": \"fixed(4)\", \"workers\": 4, \"wall_ms\": 100.000}]"
-            ),
-            "{json}"
-        );
-        // Without a baseline the array still names the one measured leg.
-        let json = render_fleet_manifest(
-            1,
-            &[("a".to_string(), DeviceRunMetrics::default())],
-            &test_scheduling(),
-            None,
-            None,
-            None,
-            None,
-        );
-        assert!(
-            json.contains(
-                "\"legs\": [{\"mode\": \"fixed(4)\", \"workers\": 4, \"wall_ms\": 100.000}]"
-            ),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn scheduling_block_without_baseline_is_null() {
-        let json = render_fleet_manifest(
-            1,
-            &[("a".to_string(), DeviceRunMetrics::default())],
-            &test_scheduling(),
-            None,
-            None,
-            None,
-            None,
-        );
-        assert!(json.contains("\"sequential_wall_ms\": null"));
-        assert!(json.contains("\"speedup_vs_sequential\": null"));
         // No aggregate handed in → the block renders as null.
         assert!(json.contains("\"fleet_distributions\": null"));
     }
@@ -578,7 +433,6 @@ mod tests {
             7,
             &[("owrt".to_string(), DeviceRunMetrics::default())],
             &test_scheduling(),
-            None,
             Some(&dist),
             None,
             None,
@@ -612,7 +466,6 @@ mod tests {
             &[("owrt".to_string(), DeviceRunMetrics::default())],
             &test_scheduling(),
             None,
-            None,
             Some(&agg),
             None,
         );
@@ -631,7 +484,6 @@ mod tests {
             None,
             None,
             None,
-            None,
         );
         assert!(json.contains("\"household\": null"), "{json}");
     }
@@ -642,13 +494,68 @@ mod tests {
         let mut dist = FleetDistributions::new();
         dist.record(&owrt, 30.5, None);
         dist.record(&owrt, 185.5, None);
-        let sequential = SchedulingReport { wall_ms: 400.0, ..test_sequential() };
-        let json = render_mega_manifest(11, &dist, &test_scheduling(), Some(&sequential));
-        assert!(json.contains("\"schema\": \"hgw-fleet-manifest/7\""));
+        let json = render_mega_manifest(11, &dist, &test_scheduling());
+        assert!(json.contains("\"schema\": \"hgw-fleet-manifest/8\""));
         assert!(json.contains("\"seed\": 11"));
         assert!(json.contains("\"devices\": 2"));
-        assert!(json.contains("\"speedup_vs_sequential\": 4.00"));
         assert!(json.contains("\"per_device\": null"));
         assert!(!json.contains("\"device\": \"owrt\""));
+    }
+
+    /// Renders the fleet manifest of a small telemetry-on campaign run
+    /// under `parallelism`, with `scheduling` standing in for the block
+    /// that legitimately names the mode.
+    fn campaign_manifest(parallelism: Parallelism, scheduling: &SchedulingReport) -> String {
+        let devices = hgw_devices::all_devices();
+        let probe = |tb: &mut hgw_testbed::Testbed, _: &hgw_devices::DeviceProfile| {
+            run_transfer(tb, 5001, Direction::Upload, 16 * 1024);
+            measure_udp1(tb, 20_000).timeout_secs.to_bits()
+        };
+        let results = FleetRunner::new(&devices[..4])
+            .seed(7)
+            .telemetry(true)
+            .parallelism(parallelism)
+            .run(probe)
+            .unwrap()
+            .into_results_with_metrics()
+            .unwrap();
+        let mut dist = FleetDistributions::new();
+        for (tag, bits, m) in &results {
+            dist.record(&hgw_devices::device(tag).unwrap(), f64::from_bits(*bits), Some(m));
+        }
+        let per_device: Vec<_> = results.into_iter().map(|(tag, _, m)| (tag, m)).collect();
+        render_fleet_manifest(7, &per_device, scheduling, Some(&dist), None, None)
+    }
+
+    /// Renders the mega manifest of a streaming fold over 64 synthetic
+    /// devices run under `parallelism`.
+    fn mega_manifest(parallelism: Parallelism, scheduling: &SchedulingReport) -> String {
+        let fleet = hgw_devices::synthetic_fleet(7, 64);
+        let folded = FleetRunner::new(&fleet)
+            .seed(7)
+            .parallelism(parallelism)
+            .run_fold(
+                |tb, _| measure_udp1(tb, 20_000).timeout_secs,
+                FleetDistributions::new,
+                |acc, s| acc.record(s.device, s.result, Some(&s.metrics)),
+                |acc, part| acc.merge(&part),
+            )
+            .unwrap();
+        assert!(folded.failures.is_empty(), "{:?}", folded.failures);
+        render_mega_manifest(7, &folded.aggregate, scheduling)
+    }
+
+    #[test]
+    fn manifests_do_not_depend_on_scheduling() {
+        // Both legs render under one scheduling block, so every other byte
+        // must come from the campaign alone.
+        let scheduling = test_scheduling();
+        let seq = campaign_manifest(Parallelism::Sequential, &scheduling);
+        let par = campaign_manifest(Parallelism::Fixed(4), &scheduling);
+        assert!(seq.contains("\"one_way\": {"), "telemetry fills the delay blocks: {seq}");
+        assert_eq!(seq, par, "fleet manifest changed with the schedule");
+        let seq = mega_manifest(Parallelism::Sequential, &scheduling);
+        let par = mega_manifest(Parallelism::Fixed(4), &scheduling);
+        assert_eq!(seq, par, "mega manifest changed with the schedule");
     }
 }

@@ -21,11 +21,16 @@
 //! ```
 //!
 //! `mb_per_s` is `null` for benchmarks without a meaningful byte count.
+//!
+//! Captures are records, not baselines: timings taken in different
+//! sessions differ with the machine as much as with the code, so nothing
+//! here compares one capture with another. The one verdict a run gives,
+//! [`TelemetryBudget`](crate::micro::TelemetryBudget), compares legs timed
+//! within that same run.
 
 use std::io::Write;
 use std::path::Path;
 
-use crate::json;
 use crate::manifest; // shared json_escape
 
 /// Schema identifier stamped into every capture file.
@@ -75,7 +80,7 @@ fn capture_json(label: &str, bench_ms: u64, results: &[MicroResult]) -> String {
 }
 
 /// Renders a full trajectory document from whole captures.
-pub fn render_document(captures: &[String]) -> String {
+fn render_document(captures: &[String]) -> String {
     format!(
         "{{\n  \"schema\": \"{}\",\n  \"captures\": [\n{}\n  ]\n}}\n",
         MICRO_SCHEMA,
@@ -113,58 +118,76 @@ pub fn append_capture(
     f.write_all(document.as_bytes())
 }
 
-/// One parsed capture out of a trajectory document: a labelled run of the
-/// whole microbench suite.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MicroCapture {
-    /// Capture label (`pre-optimization`, `post-fastpath`, `ci-<sha>`, ...).
-    pub label: String,
-    /// `HGW_BENCH_MS` the capture ran with.
-    pub bench_ms: u64,
-    /// Every benchmark measured in this capture, in suite order.
-    pub results: Vec<MicroResult>,
-}
+/// The budget the disabled telemetry path is held to, in percent over the
+/// plain engine.
+pub const TELEMETRY_BUDGET_PCT: f64 = 2.0;
 
-/// Parses a `hgw-microbench/1` trajectory document back into captures.
+/// The telemetry dispatch budget verdict of one microbench run.
 ///
-/// The inverse of [`render_document`]/[`append_capture`], used by the
-/// `bench_diff` drift tool. Serde is unavailable in this build environment,
-/// so this is a small recursive-descent parser over the JSON subset the
-/// writer emits (objects, arrays, strings, numbers, `null`).
-pub fn parse_document(text: &str) -> Result<Vec<MicroCapture>, String> {
-    let root = json::parse(text)?;
-    let obj = root.as_obj().ok_or("top level is not an object")?;
-    let schema = json::field(obj, "schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != MICRO_SCHEMA {
-        return Err(format!("unsupported schema {schema:?} (want {MICRO_SCHEMA:?})"));
-    }
-    let captures = json::field(obj, "captures")?.as_arr().ok_or("captures is not an array")?;
-    captures
-        .iter()
-        .map(|c| {
-            let c = c.as_obj().ok_or("capture is not an object")?;
-            let results = json::field(c, "results")?.as_arr().ok_or("results is not an array")?;
-            Ok(MicroCapture {
-                label: json::field(c, "label")?
-                    .as_str()
-                    .ok_or("label is not a string")?
-                    .to_string(),
-                bench_ms: json::field(c, "bench_ms")?.as_u64().ok_or("bench_ms not integral")?,
-                results: results.iter().map(parse_result).collect::<Result<_, String>>()?,
-            })
-        })
-        .collect()
+/// It reads the `telemetry/sim_event_dispatch_telemetry_{baseline,off,on}`
+/// legs: three identical boxed engines timed in the same interleaved
+/// rounds, so a machine-speed shift lands on all three. The disabled
+/// path's cost, `off` against `baseline`, is what every untraced run pays
+/// for carrying the tracing branches; it is held to
+/// [`TELEMETRY_BUDGET_PCT`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct TelemetryBudget {
+    /// ns/iter with telemetry enabled.
+    pub on_ns: f64,
+    /// ns/iter with telemetry disabled.
+    pub off_ns: f64,
+    /// ns/iter of the plain engine.
+    pub baseline_ns: f64,
+    /// `(on - off) / off`, in percent: what enabling telemetry costs.
+    pub enabled_overhead_pct: f64,
+    /// `(off - baseline) / baseline`, in percent: what the disabled path
+    /// costs.
+    pub disabled_overhead_pct: f64,
+    /// `disabled_overhead_pct <= TELEMETRY_BUDGET_PCT`.
+    pub within_budget: bool,
 }
 
-fn parse_result(v: &json::Value) -> Result<MicroResult, String> {
-    let r = v.as_obj().ok_or("result is not an object")?;
-    Ok(MicroResult {
-        group: json::field(r, "group")?.as_str().ok_or("group is not a string")?.to_string(),
-        name: json::field(r, "name")?.as_str().ok_or("name is not a string")?.to_string(),
-        ns_per_iter: json::field(r, "ns_per_iter")?.as_f64().ok_or("ns_per_iter not numeric")?,
-        mb_per_s: json::field(r, "mb_per_s")?.as_f64_or_null(),
-        iters: json::field(r, "iters")?.as_u64().ok_or("iters not integral")?,
-    })
+impl TelemetryBudget {
+    /// Evaluates the budget over one run's results; `None` when any of
+    /// the three legs is missing or timed at zero.
+    pub fn evaluate(results: &[MicroResult]) -> Option<TelemetryBudget> {
+        let ns = |leg: &str| {
+            let name = format!("sim_event_dispatch_telemetry_{leg}");
+            results
+                .iter()
+                .find(|r| r.group == "telemetry" && r.name == name)
+                .map(|r| r.ns_per_iter)
+                .filter(|&v| v > 0.0)
+        };
+        let (on_ns, off_ns, baseline_ns) = (ns("on")?, ns("off")?, ns("baseline")?);
+        let disabled_overhead_pct = (off_ns - baseline_ns) / baseline_ns * 100.0;
+        Some(TelemetryBudget {
+            on_ns,
+            off_ns,
+            baseline_ns,
+            enabled_overhead_pct: (on_ns - off_ns) / off_ns * 100.0,
+            disabled_overhead_pct,
+            within_budget: disabled_overhead_pct <= TELEMETRY_BUDGET_PCT,
+        })
+    }
+}
+
+impl std::fmt::Display for TelemetryBudget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "telemetry dispatch: on {:.1} ns vs off {:.1} ns ({:+.1}%); disabled path {:.1} ns vs \
+             baseline {:.1} ns ({:+.1}%, budget ≤{:.0}%) — {}",
+            self.on_ns,
+            self.off_ns,
+            self.enabled_overhead_pct,
+            self.off_ns,
+            self.baseline_ns,
+            self.disabled_overhead_pct,
+            TELEMETRY_BUDGET_PCT,
+            if self.within_budget { "within budget" } else { "BUDGET EXCEEDED" },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -213,37 +236,52 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn parse_round_trips_the_writer() {
-        let captures = [
-            capture_json("pre \"quoted\"", 300, &[sample("x", None), sample("y", Some(512.0))]),
-            capture_json("post", 20, &[sample("x", Some(0.5))]),
-        ];
-        let doc = render_document(&captures);
-        let parsed = parse_document(&doc).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].label, "pre \"quoted\"");
-        assert_eq!(parsed[0].bench_ms, 300);
-        assert_eq!(parsed[0].results.len(), 2);
-        assert_eq!(parsed[0].results[0].group, "nat");
-        assert_eq!(parsed[0].results[0].name, "x");
-        assert_eq!(parsed[0].results[0].mb_per_s, None);
-        assert_eq!(parsed[0].results[1].mb_per_s, Some(512.0));
-        assert_eq!(parsed[0].results[0].iters, 1000);
-        assert!((parsed[0].results[0].ns_per_iter - 123.5).abs() < 0.11);
-        assert_eq!(parsed[1].label, "post");
-        assert_eq!(parsed[1].bench_ms, 20);
+    fn telemetry_legs(baseline: f64, off: f64, on: f64) -> Vec<MicroResult> {
+        [("baseline", baseline), ("off", off), ("on", on)]
+            .into_iter()
+            .map(|(leg, ns)| MicroResult {
+                group: "telemetry".to_string(),
+                name: format!("sim_event_dispatch_telemetry_{leg}"),
+                ns_per_iter: ns,
+                mb_per_s: None,
+                iters: 1,
+            })
+            .collect()
     }
 
     #[test]
-    fn parse_rejects_wrong_schema_and_garbage() {
-        assert!(parse_document("{\"schema\": \"other/9\", \"captures\": []}").is_err());
-        assert!(parse_document("not json at all").is_err());
-        assert!(parse_document("{\"captures\": []}").is_err());
-        // Trailing junk after a valid document must not be silently accepted.
-        let doc = render_document(&[capture_json("a", 1, &[])]);
-        assert!(parse_document(&format!("{doc}extra")).is_err());
-        // Empty captures list is valid.
-        assert_eq!(parse_document(&render_document(&[])).unwrap(), vec![]);
+    fn telemetry_budget_holds_at_exactly_two_percent() {
+        // off = 25.5 vs baseline 25.0 → +2.0%, on the inclusive boundary;
+        // on = 26.1 vs off → +2.35% enabled cost.
+        let b = TelemetryBudget::evaluate(&telemetry_legs(25.0, 25.5, 26.1)).unwrap();
+        assert!((b.disabled_overhead_pct - 2.0).abs() < 1e-9);
+        assert!(b.within_budget, "2.0% lands on the inclusive budget boundary");
+        assert!((b.enabled_overhead_pct - (26.1 - 25.5) / 25.5 * 100.0).abs() < 1e-9);
+        assert!(b.to_string().ends_with("within budget"), "{b}");
+    }
+
+    #[test]
+    fn telemetry_budget_is_exceeded_just_above_two_percent() {
+        let b = TelemetryBudget::evaluate(&telemetry_legs(25.0, 25.51, 26.1)).unwrap();
+        assert!(!b.within_budget, "+2.04% must exceed the budget");
+        assert!(b.to_string().ends_with("BUDGET EXCEEDED"), "{b}");
+    }
+
+    #[test]
+    fn telemetry_budget_needs_every_leg() {
+        let legs = telemetry_legs(25.0, 25.5, 26.1);
+        for missing in 0..legs.len() {
+            let mut partial = legs.clone();
+            partial.remove(missing);
+            assert_eq!(TelemetryBudget::evaluate(&partial), None, "without {}", legs[missing].name);
+        }
+        // The separately timed boxed dispatch bench is no stand-in.
+        let mut boxed = legs[1..].to_vec();
+        boxed.push(MicroResult {
+            group: "simulation".to_string(),
+            name: "sim_event_dispatch_boxed".to_string(),
+            ..legs[0].clone()
+        });
+        assert_eq!(TelemetryBudget::evaluate(&boxed), None);
     }
 }

@@ -34,10 +34,9 @@
 //! **Determinism guarantee:** each device's simulator seed is derived from
 //! the campaign seed and the device *tag* (see
 //! [`TestbedBuilder::campaign_slot`](hgw_testbed::TestbedBuilder)), so probe
-//! results `R` and every deterministic [`DeviceRunMetrics`] counter are
-//! bit-for-bit identical across [`Parallelism`] modes. Only the host
-//! wall-clock fields (`wall_ms`, `events_per_sec`, and the
-//! [`SchedulingReport`]) depend on the execution schedule.
+//! results `R` and every [`DeviceRunMetrics`] counter are
+//! bit-for-bit identical across [`Parallelism`] modes. Only the
+//! [`SchedulingReport`] depends on the execution schedule.
 //!
 //! # Mega-fleet scale
 //!
@@ -140,17 +139,12 @@ impl core::fmt::Display for Parallelism {
 
 /// Observability metrics captured around one device's fleet run.
 ///
-/// All counters except `wall_ms` and `events_per_sec` are deterministic:
-/// they depend only on the campaign seed, never on the execution schedule.
+/// Every field is deterministic: it depends only on the campaign seed,
+/// never on the execution schedule, so two runs compare with `==`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceRunMetrics {
-    /// Host wall-clock time spent on this device, in milliseconds.
-    /// **Wall-clock-dependent** — varies across runs and parallelism modes.
-    pub wall_ms: f64,
     /// Simulator events dispatched during the run.
     pub events: u64,
-    /// Simulator events per wall-clock second. **Wall-clock-dependent.**
-    pub events_per_sec: f64,
     /// Frames delivered to nodes.
     pub frames_delivered: u64,
     /// Frames dropped anywhere in the stack, by reason.
@@ -185,14 +179,6 @@ pub struct DeviceRunMetrics {
     /// Gateway NAT/forwarding-engine processing delay distribution in
     /// nanoseconds. `Some` iff the run had [`FleetRunner::telemetry`] on.
     pub delay_nat_processing: Option<HistogramSummary>,
-}
-
-impl DeviceRunMetrics {
-    /// A copy with the wall-clock-dependent fields zeroed — what the
-    /// sequential-vs-parallel equivalence tests compare.
-    pub fn deterministic(&self) -> DeviceRunMetrics {
-        DeviceRunMetrics { wall_ms: 0.0, events_per_sec: 0.0, ..self.clone() }
-    }
 }
 
 /// Streaming fleet-wide aggregate of NAT binding-lifecycle activity — the
@@ -399,7 +385,8 @@ pub struct WorkerStats {
 }
 
 /// How a campaign was scheduled — the wall-clock-dependent half of a
-/// [`FleetReport`], recorded into run manifests.
+/// [`FleetReport`]. Run manifests record only its configuration
+/// (`parallelism`, `workers`, `batch_size`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingReport {
     /// The requested parallelism mode.
@@ -731,7 +718,6 @@ impl<'d> FleetRunner<'d> {
             slot,
             panic: panic_message(payload),
         };
-        let start = std::time::Instant::now();
         let recycled = shell.take().unwrap_or_default();
         let brought_up = catch_unwind(AssertUnwindSafe(|| {
             let mut tb = Testbed::builder(device.tag, device.policy)
@@ -752,8 +738,7 @@ impl<'d> FleetRunner<'d> {
         let baseline = ProbeCounters::read(&tb);
         match catch_unwind(AssertUnwindSafe(|| probe(&mut tb, device))) {
             Ok(result) => {
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let mut metrics = harvest_metrics(&tb, &baseline, wall_ms);
+                let mut metrics = harvest_metrics(&tb, &baseline);
                 let spans = tb.sim.take_telemetry().map(|mut t| {
                     let d = t.delay_summaries();
                     metrics.delay_one_way = Some(d.one_way);
@@ -818,7 +803,7 @@ impl ProbeCounters {
     }
 }
 
-fn harvest_metrics(tb: &Testbed, baseline: &ProbeCounters, wall_ms: f64) -> DeviceRunMetrics {
+fn harvest_metrics(tb: &Testbed, baseline: &ProbeCounters) -> DeviceRunMetrics {
     let stats = tb.sim.stats();
     let gateway = tb.sim.node_ref::<Gateway>(tb.gateway);
     let nat = gateway.nat_stats();
@@ -827,9 +812,7 @@ fn harvest_metrics(tb: &Testbed, baseline: &ProbeCounters, wall_ms: f64) -> Devi
         nat_occupancy.record(live as u64);
     }
     DeviceRunMetrics {
-        wall_ms,
         events: stats.events,
-        events_per_sec: if wall_ms > 0.0 { stats.events as f64 / (wall_ms / 1e3) } else { 0.0 },
         frames_delivered: stats.frames_delivered,
         frames_dropped: stats.frames_dropped,
         trace_events: stats.trace_events - baseline.trace_events,
@@ -947,7 +930,6 @@ mod tests {
                 m.trace_events
                     <= m.frames_delivered + m.frames_dropped.total() + m.nat_bindings_created
             );
-            assert!(m.wall_ms >= 0.0);
             assert!(m.delay_one_way.is_none(), "{tag}: delay histograms need telemetry");
         }
     }
@@ -995,8 +977,7 @@ mod tests {
         let strip =
             |v: Vec<(String, u64, DeviceRunMetrics)>| -> Vec<(String, u64, DeviceRunMetrics)> {
                 v.into_iter()
-                    .map(|(t, r, m)| {
-                        let mut m = m.deterministic();
+                    .map(|(t, r, mut m)| {
                         m.delay_one_way = None;
                         m.delay_queue_residency = None;
                         m.delay_nat_processing = None;
@@ -1049,8 +1030,7 @@ mod tests {
             // Tracing adds exactly its binding events to the emitted total
             // and changes no other deterministic counter.
             assert_eq!(m1.trace_events, m0.trace_events + tally.total(), "{t1}");
-            let strip =
-                |m: &DeviceRunMetrics| DeviceRunMetrics { trace_events: 0, ..m.deterministic() };
+            let strip = |m: &DeviceRunMetrics| DeviceRunMetrics { trace_events: 0, ..m.clone() };
             assert_eq!(strip(m0), strip(m1), "{t0}: tracing must be a pure sink");
         }
     }
