@@ -44,7 +44,7 @@ fn bench<R>(
     bytes_per_iter: Option<u64>,
     f: impl FnMut() -> R,
 ) {
-    let (ns, iters) = time_leg(hgw_bench::env_u64("HGW_BENCH_MS", 300), f);
+    let (ns, iters) = time_leg(hgw_bench::env_knob::<u64>("HGW_BENCH_MS", 300), f);
     record(results, group, name, bytes_per_iter, ns, iters);
 }
 
@@ -613,7 +613,8 @@ fn bench_telemetry(results: &mut Vec<MicroResult>) {
             (leg, sim)
         })
         .collect();
-    let round_ms = hgw_bench::env_u64("HGW_BENCH_MS", 300).div_ceil(TELEMETRY_REPEATS as u64);
+    let round_ms =
+        hgw_bench::env_knob::<u64>("HGW_BENCH_MS", 300).div_ceil(TELEMETRY_REPEATS as u64);
     let mut rounds = vec![Vec::with_capacity(TELEMETRY_REPEATS); legs.len()];
     let mut iters = vec![0u64; legs.len()];
     for round in 0..TELEMETRY_REPEATS {
@@ -655,7 +656,7 @@ fn main() {
     bench_telemetry(&mut results);
     if let Ok(path) = std::env::var("HGW_BENCH_JSON") {
         let label = std::env::var("HGW_BENCH_LABEL").unwrap_or_else(|_| "run".to_string());
-        let bench_ms = hgw_bench::env_u64("HGW_BENCH_MS", 300);
+        let bench_ms = hgw_bench::env_knob::<u64>("HGW_BENCH_MS", 300);
         let path = std::path::PathBuf::from(path);
         match hgw_bench::micro::append_capture(&path, &label, bench_ms, &results) {
             Ok(()) => println!("capture '{label}' appended to {}", path.display()),

@@ -2,12 +2,12 @@
 //! port (log scale).
 
 use hgw_bench::report::emit_summary_figure;
-use hgw_bench::{env_usize, fleet_results, FIG10_ORDER};
+use hgw_bench::{env_knob, fleet_results, FIG10_ORDER};
 use hgw_probe::max_bindings::measure_max_bindings;
 use hgw_stats::Summary;
 
 fn main() {
-    let ceiling = env_usize("HGW_CEILING", 1100);
+    let ceiling = env_knob::<usize>("HGW_CEILING", 1100);
     let devices = hgw_devices::all_devices();
     let results = fleet_results(&devices, 0xF1610, |tb, _| {
         measure_max_bindings(tb, 32, ceiling).max_bindings as f64

@@ -2,14 +2,14 @@
 //! result (the paper's overview figure).
 
 use hgw_bench::report::emit_multi_series_figure;
-use hgw_bench::{env_u64, env_usize, fleet_results, FIG3_ORDER};
+use hgw_bench::{env_knob, fleet_results, FIG3_ORDER};
 use hgw_core::Duration;
 use hgw_probe::udp_timeout::{measure_repeated, UdpScenario};
 use hgw_stats::median;
 
 fn main() {
-    let repeats = env_usize("HGW_REPEATS", 5);
-    let step = Duration::from_secs(env_u64("HGW_STEP_SECS", 1));
+    let repeats = env_knob::<usize>("HGW_REPEATS", 5);
+    let step = Duration::from_secs(env_knob::<u64>("HGW_STEP_SECS", 1));
     let devices = hgw_devices::all_devices();
     let results = fleet_results(&devices, 0xF162, |tb, _| {
         let u1 = measure_repeated(tb, UdpScenario::Solitary, 20_000, repeats, step);

@@ -6,13 +6,13 @@
 //! medians converge fast).
 
 use hgw_bench::report::emit_summary_figure;
-use hgw_bench::{env_usize, fleet_results, FIG3_ORDER};
+use hgw_bench::{env_knob, fleet_results, FIG3_ORDER};
 use hgw_core::Duration;
 use hgw_probe::udp_timeout::{measure_repeated, UdpScenario};
 use hgw_stats::Summary;
 
 fn main() {
-    let repeats = env_usize("HGW_REPEATS", 15);
+    let repeats = env_knob::<usize>("HGW_REPEATS", 15);
     let devices = hgw_devices::all_devices();
     let results = fleet_results(&devices, 0xF163, |tb, _| {
         let vals =

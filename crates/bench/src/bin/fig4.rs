@@ -5,14 +5,14 @@
 //! convergence bound).
 
 use hgw_bench::report::emit_summary_figure;
-use hgw_bench::{env_u64, env_usize, fleet_results, FIG4_ORDER};
+use hgw_bench::{env_knob, fleet_results, FIG4_ORDER};
 use hgw_core::Duration;
 use hgw_probe::udp_timeout::{measure_repeated, UdpScenario};
 use hgw_stats::Summary;
 
 fn main() {
-    let repeats = env_usize("HGW_REPEATS", 7);
-    let step = Duration::from_secs(env_u64("HGW_STEP_SECS", 1));
+    let repeats = env_knob::<usize>("HGW_REPEATS", 7);
+    let step = Duration::from_secs(env_knob::<u64>("HGW_STEP_SECS", 1));
     let devices = hgw_devices::all_devices();
     let results = fleet_results(&devices, 0xF164, |tb, _| {
         let vals = measure_repeated(tb, UdpScenario::InboundRefresh, 21_000, repeats, step);

@@ -4,14 +4,14 @@
 //! dl8, whose DNS timeout is shorter.
 
 use hgw_bench::report::emit_multi_series_figure;
-use hgw_bench::{env_u64, env_usize, fleet_results, FIG3_ORDER};
+use hgw_bench::{env_knob, fleet_results, FIG3_ORDER};
 use hgw_core::Duration;
 use hgw_probe::udp_timeout::{measure_refresh, UdpScenario, UDP5_SERVICES};
 use hgw_stats::median;
 
 fn main() {
-    let repeats = env_usize("HGW_REPEATS", 3);
-    let step = Duration::from_secs(env_u64("HGW_STEP_SECS", 2));
+    let repeats = env_knob::<usize>("HGW_REPEATS", 3);
+    let step = Duration::from_secs(env_knob::<u64>("HGW_STEP_SECS", 2));
     let devices = hgw_devices::all_devices();
     let results = fleet_results(&devices, 0xF166, |tb, _| {
         UDP5_SERVICES.map(|(_, port)| {

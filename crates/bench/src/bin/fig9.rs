@@ -3,11 +3,11 @@
 //! as Figure 8).
 
 use hgw_bench::report::emit_multi_series_figure;
-use hgw_bench::{env_u64, fleet_results, FIG9_ORDER};
+use hgw_bench::{env_knob, fleet_results, FIG9_ORDER};
 use hgw_probe::throughput::run_battery;
 
 fn main() {
-    let bytes = env_u64("HGW_BYTES", 25 * 1024 * 1024);
+    let bytes = env_knob::<u64>("HGW_BYTES", 25 * 1024 * 1024);
     let devices = hgw_devices::all_devices();
     let results = fleet_results(&devices, 0xF169, |tb, _| run_battery(tb, bytes));
     let pick = |f: fn(&hgw_probe::throughput::ThroughputReport) -> f64| -> Vec<(String, f64)> {

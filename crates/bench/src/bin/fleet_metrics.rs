@@ -45,7 +45,7 @@
 use std::path::Path;
 
 use hgw_bench::manifest::{render_fleet_manifest, render_mega_manifest, write_manifest};
-use hgw_bench::{env_u64, env_usize, figures_dir};
+use hgw_bench::{env_knob, figures_dir};
 use hgw_devices::{all_devices, device, synthetic_fleet, DeviceProfile};
 use hgw_probe::distributions::{cdf_points, FleetDistributions};
 use hgw_probe::fleet::{
@@ -59,7 +59,7 @@ use hgw_probe::udp_timeout::measure_udp1;
 use hgw_stats::TextTable;
 
 fn main() {
-    let mega_devices = env_usize("HGW_FLEET_DEVICES", 0);
+    let mega_devices = env_knob::<usize>("HGW_FLEET_DEVICES", 0);
     let result = if mega_devices > 0 { run_mega(mega_devices) } else { run() };
     if let Err(e) = result {
         eprintln!("fleet run failed: {e}");
@@ -68,12 +68,12 @@ fn main() {
 }
 
 fn run() -> Result<(), FleetError> {
-    let seed = env_u64("HGW_SEED", 7);
-    let bytes = env_u64("HGW_FLEET_BYTES", 256 * 1024);
+    let seed = env_knob::<u64>("HGW_SEED", 7);
+    let bytes = env_knob::<u64>("HGW_FLEET_BYTES", 256 * 1024);
     // The parallel leg defaults to a fixed 4-worker pool so the committed
     // BENCH_fleet.json scheduling block is reproducible across hosts with
     // different core counts; `HGW_FLEET_PARALLELISM` still overrides.
-    let parallelism = Parallelism::from_env_or(Parallelism::Fixed(4));
+    let parallelism = env_knob("HGW_FLEET_PARALLELISM", Parallelism::Fixed(4));
     let devices = all_devices();
 
     let probe = |tb: &mut hgw_testbed::Testbed, _: &DeviceProfile| {
@@ -182,13 +182,13 @@ fn run_household(
     seed: u64,
     parallelism: Parallelism,
 ) -> Result<Option<(HouseholdFleetSummary, LifecycleFleetSummary)>, FleetError> {
-    let hosts = env_usize("HGW_HOUSEHOLD_HOSTS", 4);
+    let hosts = env_knob::<usize>("HGW_HOUSEHOLD_HOSTS", 4);
     if hosts == 0 {
         return Ok(None);
     }
     let cfg = WorkloadConfig {
-        flows_per_host: env_usize("HGW_HOUSEHOLD_FLOWS", 8),
-        duration: hgw_core::Duration::from_secs(env_u64("HGW_HOUSEHOLD_SECS", 30)),
+        flows_per_host: env_knob::<usize>("HGW_HOUSEHOLD_FLOWS", 8),
+        duration: hgw_core::Duration::from_secs(env_knob::<u64>("HGW_HOUSEHOLD_SECS", 30)),
         ..WorkloadConfig::default()
     };
     println!(
@@ -309,8 +309,8 @@ fn print_scheduling(scheduling: &SchedulingReport, sequential: &SchedulingReport
 /// The mega-fleet campaign: N sampled profiles, streaming fold, population
 /// report. See the module docs for the emitted artifacts.
 fn run_mega(n: usize) -> Result<(), FleetError> {
-    let seed = env_u64("HGW_SEED", 7);
-    let parallelism = Parallelism::from_env_or(Parallelism::Fixed(4));
+    let seed = env_knob::<u64>("HGW_SEED", 7);
+    let parallelism = env_knob("HGW_FLEET_PARALLELISM", Parallelism::Fixed(4));
     let fleet = synthetic_fleet(seed, n);
 
     // UDP-1 only: the binding-timeout search is the paper's headline

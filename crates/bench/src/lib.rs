@@ -12,7 +12,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::env::VarError;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use hgw_devices::DeviceProfile;
 use hgw_probe::fleet::{FleetRunner, Parallelism};
@@ -67,14 +70,29 @@ pub const FIG10_ORDER: [&str; 34] = [
     "as1", "dl5", "bu1", "al", "we", "ng1", "ap",
 ];
 
-/// Reads a `usize` configuration knob from the environment.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Parses a configuration knob from what [`std::env::var`] returned for
+/// `name`: unset means `default`; a set value that does not parse as a `T`
+/// is an error naming the variable and the value.
+pub fn parse_knob<T: FromStr<Err: Display>>(
+    name: &str,
+    value: Result<String, VarError>,
+    default: T,
+) -> Result<T, String> {
+    match value {
+        Err(VarError::NotPresent) => Ok(default),
+        Err(e) => Err(format!("{name}: {e}")),
+        Ok(v) => v.trim().parse().map_err(|e| format!("{name}={v:?}: {e}")),
+    }
 }
 
-/// Reads a `u64` configuration knob from the environment.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Reads a configuration knob from the environment (see [`parse_knob`]),
+/// exiting with status 2 on a malformed value rather than running with a
+/// setting the user did not ask for.
+pub fn env_knob<T: FromStr<Err: Display>>(name: &str, default: T) -> T {
+    parse_knob(name, std::env::var(name), default).unwrap_or_else(|e| {
+        eprintln!("bad environment knob {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Where figure CSVs land.
@@ -94,7 +112,7 @@ pub fn fleet_results<R: Send>(
 ) -> Vec<(String, R)> {
     let outcome = FleetRunner::new(devices)
         .seed(seed)
-        .parallelism(Parallelism::from_env())
+        .parallelism(env_knob("HGW_FLEET_PARALLELISM", Parallelism::Auto))
         .run(probe)
         .and_then(|report| report.into_results());
     match outcome {
@@ -126,3 +144,26 @@ pub mod micro;
 
 /// Hand-rolled JSON reader for the documents the `hgw-*` writers emit.
 pub mod json;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use Parallelism::*;
+
+    #[test]
+    fn set_knobs_must_parse_and_unset_ones_default() {
+        let bytes = |v: Result<String, VarError>| parse_knob::<u64>("HGW_BYTES", v, 7);
+        assert_eq!(bytes(Err(VarError::NotPresent)), Ok(7));
+        assert_eq!(bytes(Ok(" 1024 ".into())), Ok(1024));
+        assert_eq!(
+            bytes(Ok("100MB".into())),
+            Err("HGW_BYTES=\"100MB\": invalid digit found in string".into())
+        );
+        assert!(bytes(Ok("".into())).is_err() && bytes(Ok("-1".into())).is_err());
+        assert!(bytes(Err(VarError::NotUnicode(Default::default()))).is_err());
+        let par = |v: &str| parse_knob("HGW_FLEET_PARALLELISM", Ok(v.into()), Parallelism::Auto);
+        let parsed = ["seq", "sequential", "auto", "4"].map(|v| par(v).unwrap());
+        assert_eq!(parsed, [Sequential, Sequential, Auto, Fixed(4)]);
+        assert!(par("four").unwrap_err().starts_with("HGW_FLEET_PARALLELISM=\"four\": expected"));
+    }
+}

@@ -7,10 +7,12 @@
 //! callback and forces the engine to speak through wide pointers. `SimNode`
 //! abstracts the slot type instead: a concrete enum (the testbed's
 //! `NodeKind`) dispatches by match — fully static, inlinable — while
-//! `Box<dyn Node>` keeps the old dynamic behavior as an always-available
-//! oracle. The two are observationally identical by construction: `SimNode`
-//! has exactly the [`Node`] callback surface and no way to observe how it
-//! was dispatched.
+//! `Box<dyn Node>` keeps the old dynamic behavior for core tests, the
+//! boxed-dispatch microbench and drivers of heterogeneous ad-hoc nodes. The
+//! two are observationally identical by construction: `SimNode` has
+//! exactly the [`Node`] callback surface and no way to observe how it was
+//! dispatched. The root test `tests/dispatch_oracle.rs` checks it on whole
+//! testbeds.
 
 use core::any::Any;
 
@@ -18,9 +20,9 @@ use crate::node::{Node, NodeCtx, PortId, TimerToken};
 
 /// A node slot the simulator can dispatch events to.
 ///
-/// Implementors are either `Box<dyn Node>` (dynamic dispatch, the
-/// differential oracle) or a closed enum over the concrete node types of a
-/// testbed (static dispatch by match). The `as_any`/`as_any_mut` hooks must
+/// Implementors are either `Box<dyn Node>` (dynamic dispatch) or a closed
+/// enum over the concrete node types of a testbed (static dispatch by
+/// match). The `as_any`/`as_any_mut` hooks must
 /// expose the *innermost* concrete node so
 /// [`SimCore::node_ref`](crate::sim::SimCore::node_ref) and
 /// [`SimCore::with_node`](crate::sim::SimCore::with_node) downcast
@@ -42,9 +44,8 @@ pub trait SimNode: 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The boxed-trait oracle: exactly the pre-enum dispatch path, kept alive
-/// so differential tests can prove the static path produces bit-identical
-/// event streams.
+/// Dynamic dispatch: exactly the pre-enum dispatch path, behind the
+/// [`Simulator`](crate::sim::Simulator) alias.
 impl SimNode for Box<dyn Node> {
     fn start(&mut self, ctx: &mut NodeCtx) {
         (**self).start(ctx);

@@ -9,7 +9,7 @@
 //! The engine is generic over its node slot type ([`SimCore<K>`], bounded by
 //! [`SimNode`]): a closed enum slot dispatches
 //! statically by match, while the [`Simulator`] alias keeps the historical
-//! `Box<dyn Node>` slots as the dynamic-dispatch oracle. Node bookkeeping is
+//! `Box<dyn Node>` slots (dynamic dispatch). Node bookkeeping is
 //! a split slab — the node values in one `Vec`, their per-node engine state
 //! (RNG stream, port wiring) in a parallel `Vec` — so a node callback
 //! borrows `nodes[i]` while the [`NodeCtx`] borrows disjoint fields, and no
@@ -105,10 +105,11 @@ pub struct SimStats {
 ///
 /// Generic over the node slot type `K`. A closed enum slot (the testbed's
 /// `NodeKind`) makes every callback a static match dispatch; the
-/// [`Simulator`] alias (`K = Box<dyn Node>`) keeps the dynamic path alive as
-/// the differential oracle. Both produce bit-identical event streams for
-/// the same seed and topology — `K` only decides how the three `SimNode`
-/// callbacks are reached, never what they observe.
+/// [`Simulator`] alias (`K = Box<dyn Node>`) keeps the dynamic path. Both
+/// produce bit-identical event streams for the same seed and topology — `K`
+/// only decides how the three `SimNode` callbacks are reached, never what
+/// they observe (the root test `tests/dispatch_oracle.rs` checks it on
+/// whole testbeds).
 pub struct SimCore<K> {
     now: Instant,
     seq: u64,
@@ -150,8 +151,9 @@ impl<K: SimNode> Default for SimCore<K> {
 }
 
 /// The boxed-slot simulator: dynamic dispatch through `Box<dyn Node>`,
-/// exactly the engine as it was before static dispatch existed. Kept as the
-/// differential oracle and for drivers that box heterogeneous ad-hoc nodes.
+/// exactly the engine as it was before static dispatch existed. Kept for
+/// the core tests, the boxed-dispatch microbench and drivers that box
+/// heterogeneous ad-hoc nodes.
 pub type Simulator = SimCore<Box<dyn Node>>;
 
 impl<K: SimNode> SimCore<K> {

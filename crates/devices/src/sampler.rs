@@ -202,17 +202,6 @@ impl ProfileSpace {
         ProfileSpace::fit(&crate::all_devices())
     }
 
-    /// The seed profiles the space was fitted from.
-    pub fn seed_profiles(&self) -> &[DeviceProfile] {
-        &self.seeds
-    }
-
-    /// The observed envelope `[min, max]` of the UDP solitary (UDP-1)
-    /// timeout, in seconds — every sampled profile stays inside it.
-    pub fn udp_solitary_envelope(&self) -> (f64, f64) {
-        (self.udp_solitary_secs.min(), self.udp_solitary_secs.max())
-    }
-
     /// Generates profile `slot` of the campaign keyed by `seed`.
     ///
     /// Pure in `(seed, slot)`: any slot regenerates independently of all
@@ -325,7 +314,7 @@ impl TagArena {
                 write!(text, "syn{slot:05}").expect("writing to a String");
                 text.extend(std::iter::repeat_n(' ', width - tag_len(slot)));
             }
-            blocks.push(Box::leak(text.into_boxed_str()));
+            blocks.push(text.leak());
         }
         TagArena { blocks }
     }

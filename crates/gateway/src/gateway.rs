@@ -204,16 +204,6 @@ impl Gateway {
         self.nat.lifecycle_tracing_enabled()
     }
 
-    /// Forwarding-engine counters for one direction (diagnostics).
-    pub fn engine_stats(&self, dir: FwdDir) -> crate::engine::EngineDirStats {
-        self.engine.stats(dir)
-    }
-
-    /// Bytes currently buffered in the forwarding engine (diagnostics).
-    pub fn engine_buffered(&self, dir: FwdDir) -> usize {
-        self.engine.buffered(dir)
-    }
-
     // ------------------------------------------------- engine plumbing --
 
     fn kick_engine(&mut self, ctx: &mut NodeCtx) {

@@ -73,16 +73,6 @@ use hgw_devices::DeviceProfile;
 use hgw_gateway::Gateway;
 use hgw_testbed::{Testbed, TestbedShell};
 
-/// Builds the testbed for one device (stable per-device slot index and a
-/// seed derived from the experiment seed and the device tag).
-///
-/// Thin wrapper over
-/// [`TestbedBuilder::campaign_slot`](hgw_testbed::TestbedBuilder::campaign_slot),
-/// where the derivation rules are documented.
-pub fn testbed_for(device: &DeviceProfile, slot: usize, seed: u64) -> Testbed {
-    Testbed::builder(device.tag, device.policy).campaign_slot(slot, seed).build()
-}
-
 /// How many workers a [`FleetRunner`] campaign uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
@@ -94,27 +84,24 @@ pub enum Parallelism {
     Sequential,
 }
 
-impl Parallelism {
-    /// Reads the `HGW_FLEET_PARALLELISM` environment knob (`seq`,
-    /// `sequential`, `auto`, or a worker count), falling back to `default`
-    /// when unset or unparseable.
-    pub fn from_env_or(default: Parallelism) -> Parallelism {
-        match std::env::var("HGW_FLEET_PARALLELISM") {
-            Ok(v) => match v.trim() {
-                "seq" | "sequential" => Parallelism::Sequential,
-                "auto" => Parallelism::Auto,
-                n => n.parse().map(Parallelism::Fixed).unwrap_or(default),
-            },
-            Err(_) => default,
+/// Parses `seq`, `sequential`, `auto`, or a worker count (the spelling of
+/// the `HGW_FLEET_PARALLELISM` knob the bench binaries read).
+impl core::str::FromStr for Parallelism {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Parallelism, &'static str> {
+        match s {
+            "seq" | "sequential" => Ok(Parallelism::Sequential),
+            "auto" => Ok(Parallelism::Auto),
+            n => n
+                .parse()
+                .map(Parallelism::Fixed)
+                .map_err(|_| "expected `seq`, `sequential`, `auto` or a worker count"),
         }
     }
+}
 
-    /// [`Parallelism::from_env_or`] with an [`Parallelism::Auto`] default —
-    /// what the figure binaries use.
-    pub fn from_env() -> Parallelism {
-        Parallelism::from_env_or(Parallelism::Auto)
-    }
-
+impl Parallelism {
     /// The number of workers this mode resolves to for a fleet of
     /// `devices` devices on this host.
     pub fn worker_count(&self, devices: usize) -> usize {

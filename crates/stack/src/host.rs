@@ -1460,19 +1460,8 @@ impl Host {
             }
         }
     }
-
-    /// Server-side DCCP connections observed (for the probe's pass/fail).
-    pub fn dccp_server_conns(&self) -> &HashMap<(Ipv4Addr, u16, u16), DccpServerConn> {
-        &self.dccp_conns
-    }
-
-    /// Server-side SCTP associations observed.
-    pub fn sctp_server_assocs(&self) -> &HashMap<(Ipv4Addr, u16, u16), SctpAssociation> {
-        &self.sctp_assocs
-    }
 }
 
-/// Finds or creates a free slot in a socket table.
 /// Builds an IP frame carrying one UDP datagram in a single pooled buffer
 /// and sends it on `port`. `pseudo_src` is the source address the UDP
 /// checksum covers, which the IP header's may differ from.

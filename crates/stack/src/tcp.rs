@@ -571,26 +571,6 @@ impl TcpSocket {
         self.cwnd
     }
 
-    /// Receive-side internals for diagnostics: `(rcv_nxt, ack_pending, ooo)`.
-    #[doc(hidden)]
-    pub fn debug_recv_state(&self) -> (u32, bool, usize) {
-        (self.rcv_nxt.0, self.ack_pending, self.ooo.len())
-    }
-
-    /// Internal sequence/timer state for diagnostics:
-    /// `(snd_una, snd_nxt, snd_wnd, rto_armed, persist_armed, buf_seq)`.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (u32, u32, u32, bool, bool, u32) {
-        (
-            self.snd_una.0,
-            self.snd_nxt.0,
-            self.snd_wnd,
-            self.rto_deadline.is_some(),
-            self.persist_deadline.is_some(),
-            self.send_buf_seq.0,
-        )
-    }
-
     /// Queues application data; returns the number of bytes accepted.
     /// A bulk socket (see [`TcpSocket::set_bulk_source`]) sends only its
     /// generated stream and accepts nothing here.

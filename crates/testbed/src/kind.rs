@@ -11,11 +11,10 @@
 //! The [`Custom`](NodeKind::Custom) variant is the escape hatch for node
 //! types outside the closed set (scripted attackers, protocol-violating
 //! probes, test taps): anything implementing [`Node`] rides along boxed,
-//! paying dynamic dispatch only for itself. It is also how the
-//! boxed-oracle mode works: [`NodeKind::into_boxed`] rewraps a typed
-//! variant as `Custom`, turning the whole topology back into the
-//! dynamic-dispatch configuration so differential tests can prove the two
-//! produce bit-identical event streams.
+//! paying dynamic dispatch only for itself. The root test
+//! `tests/dispatch_oracle.rs` builds a whole testbed out of `Custom` nodes
+//! and proves it produces the same event stream, counters and probe
+//! results as the typed testbed.
 
 use core::any::Any;
 
@@ -35,24 +34,8 @@ pub enum NodeKind {
     Gateway(Gateway),
     /// A learning LAN switch.
     Switch(Switch),
-    /// Any other [`Node`] — ad-hoc drivers, attackers, taps — boxed. Also
-    /// the boxed-oracle representation of the three typed variants.
+    /// Any other [`Node`] — ad-hoc drivers, attackers, taps — boxed.
     Custom(Box<dyn Node>),
-}
-
-impl NodeKind {
-    /// Rewraps a typed variant as [`NodeKind::Custom`], forcing dynamic
-    /// dispatch for this node. The node's behavior is unchanged — only the
-    /// dispatch mechanism differs — which is exactly what the differential
-    /// oracle tests rely on.
-    pub fn into_boxed(self) -> NodeKind {
-        match self {
-            NodeKind::Host(h) => NodeKind::Custom(Box::new(h)),
-            NodeKind::Gateway(g) => NodeKind::Custom(Box::new(g)),
-            NodeKind::Switch(s) => NodeKind::Custom(Box::new(s)),
-            custom @ NodeKind::Custom(_) => custom,
-        }
-    }
 }
 
 impl SimNode for NodeKind {
@@ -113,15 +96,8 @@ mod tests {
     fn as_any_reaches_the_inner_node_in_both_representations() {
         let typed = NodeKind::Host(Host::new("h"));
         assert!(typed.as_any().downcast_ref::<Host>().is_some());
-        let boxed = typed.into_boxed();
-        assert!(matches!(boxed, NodeKind::Custom(_)));
+        let mut boxed = NodeKind::Custom(Box::new(Host::new("h")));
         assert!(boxed.as_any().downcast_ref::<Host>().is_some());
-    }
-
-    #[test]
-    fn into_boxed_is_idempotent_on_custom() {
-        let custom = NodeKind::Custom(Box::new(Switch::new("s", 2)));
-        let again = custom.into_boxed();
-        assert!(again.as_any().downcast_ref::<Switch>().is_some());
+        assert!(boxed.as_any_mut().downcast_mut::<Host>().is_some());
     }
 }

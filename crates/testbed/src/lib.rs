@@ -135,18 +135,9 @@ pub struct TestbedBuilder<'a> {
     index: u8,
     seed: u64,
     hosts: usize,
-    boxed_oracle: bool,
 }
 
 impl<'a> TestbedBuilder<'a> {
-    /// Forces every node into the boxed dynamic-dispatch representation
-    /// (see [`TopologyBuilder::boxed_oracle`]); defaults to the
-    /// `boxed-oracle` cargo feature. Behavior is bit-identical either way —
-    /// this exists for differential oracle runs.
-    pub fn boxed_oracle(mut self, enabled: bool) -> TestbedBuilder<'a> {
-        self.boxed_oracle = enabled;
-        self
-    }
     /// Sets the testbed slot index (selects the `10.0.<index>.0/24` plan).
     pub fn index(mut self, index: u8) -> TestbedBuilder<'a> {
         self.index = index;
@@ -230,14 +221,7 @@ impl Testbed {
     /// Starts a [`TestbedBuilder`] for `tag` (slot index 1, seed 0, one
     /// LAN host until overridden).
     pub fn builder(tag: &str, policy: GatewayPolicy) -> TestbedBuilder<'_> {
-        TestbedBuilder {
-            tag,
-            policy,
-            index: 1,
-            seed: 0,
-            hosts: 1,
-            boxed_oracle: cfg!(feature = "boxed-oracle"),
-        }
+        TestbedBuilder { tag, policy, index: 1, seed: 0, hosts: 1 }
     }
 
     /// The preset over [`TopologyBuilder`]: M LAN hosts (direct link for
@@ -247,9 +231,9 @@ impl Testbed {
     /// hand-rolled testbed exactly (client, gateway, server), so per-node
     /// RNG streams and event sequences are bit-identical.
     fn assemble(spec: TestbedBuilder, shell: TestbedShell) -> Testbed {
-        let TestbedBuilder { tag, policy, index, seed, hosts: m, boxed_oracle } = spec;
+        let TestbedBuilder { tag, policy, index, seed, hosts: m } = spec;
         assert!((1..=64).contains(&m), "Testbed: host count must be in 1..=64, got {m}");
-        let mut b = TopologyBuilder::in_shell(shell.topo, seed).boxed_oracle(boxed_oracle);
+        let mut b = TopologyBuilder::in_shell(shell.topo, seed);
         let server_addr = Ipv4Addr::new(10, 0, index, 1);
         let ether = LinkConfig::ethernet_100m;
 

@@ -41,8 +41,6 @@
 //! assert_eq!(topo.node_id("laptop"), topo.lan_hosts()[0]);
 //! ```
 
-use std::net::Ipv4Addr;
-
 use hgw_core::Cleared;
 use hgw_core::{
     Duration, Instant, LinkConfig, LinkId, Node, NodeCtx, NodeId, PortId, SimCore, SpanId,
@@ -173,7 +171,6 @@ pub struct TopologyBuilder {
     kinds: Vec<Kind>,
     specs: Vec<Spec>,
     links: Vec<Wire>,
-    boxed_oracle: bool,
     /// The simulator, already reset to the builder's seed.
     sim: TopologySim,
     /// Emptied id tables for the built topology.
@@ -196,18 +193,7 @@ impl TopologyBuilder {
         sim.reset(seed, |node| match node {
             NodeKind::Host(h) => spares.hosts.push(h),
             NodeKind::Gateway(g) => spares.gateways.push(g),
-            NodeKind::Switch(_) => {}
-            // The boxed-oracle representation of the same nodes: move the
-            // node out of its box, leaving an empty stand-in behind.
-            NodeKind::Custom(mut node) => {
-                let node = Node::as_any_mut(&mut *node);
-                if let Some(h) = node.downcast_mut::<Host>() {
-                    spares.hosts.push(std::mem::replace(h, Host::new("")));
-                } else if let Some(g) = node.downcast_mut::<Gateway>() {
-                    let stand_in = Gateway::new("", g.policy, 0);
-                    spares.gateways.push(std::mem::replace(g, stand_in));
-                }
-            }
+            NodeKind::Switch(_) | NodeKind::Custom(_) => {}
         });
         // Hand the retired hosts out in the order they were built, so each
         // role (client, server, …) inherits the tables it grew before.
@@ -218,7 +204,6 @@ impl TopologyBuilder {
             kinds: kinds.cleared(),
             specs: std::mem::take(&mut spares.specs),
             links: std::mem::take(&mut spares.wiring),
-            boxed_oracle: cfg!(feature = "boxed-oracle"),
             sim,
             ids: ids.cleared(),
             link_ids: links.cleared(),
@@ -248,18 +233,6 @@ impl TopologyBuilder {
             }
             None => Gateway::new(tag, policy, index),
         }
-    }
-
-    /// Forces every node into the [`NodeKind::Custom`] boxed representation
-    /// (dynamic dispatch), regardless of its declared type. The default is
-    /// `false` unless the `boxed-oracle` cargo feature is enabled.
-    ///
-    /// The two representations are required to produce bit-identical event
-    /// streams — this switch exists so differential tests (and the CI
-    /// oracle leg) can prove it on full topologies.
-    pub fn boxed_oracle(mut self, enabled: bool) -> TopologyBuilder {
-        self.boxed_oracle = enabled;
-        self
     }
 
     fn push(&mut self, name: &str, kind: Kind, spec: Spec) -> NodeHandle {
@@ -297,7 +270,8 @@ impl TopologyBuilder {
     /// Adds an arbitrary [`Node`] outside the closed testbed universe —
     /// scripted attackers, protocol violators, measurement taps. The node
     /// rides in the [`NodeKind::Custom`] slot (dynamic dispatch for this
-    /// node only) and is always considered ready during bring-up.
+    /// node only) and is always considered ready during bring-up. A shell
+    /// the topology is torn down into drops it rather than recycling it.
     pub fn custom(&mut self, name: &str, node: Box<dyn Node>) -> NodeHandle {
         self.push(name, Kind::Custom, Spec::Ready(NodeKind::Custom(node)))
     }
@@ -349,7 +323,6 @@ impl TopologyBuilder {
             kinds,
             mut specs,
             links: mut wiring,
-            boxed_oracle,
             mut sim,
             mut ids,
             link_ids: mut links,
@@ -360,7 +333,7 @@ impl TopologyBuilder {
                 Spec::Ready(node) => node,
                 Spec::Switch { ports } => NodeKind::Switch(Switch::new(name, ports)),
             };
-            ids.push(sim.add_node(if boxed_oracle { node.into_boxed() } else { node }));
+            ids.push(sim.add_node(node));
         }
         for (a, ap, b, bp, cfg) in wiring.drain(..) {
             links.push(sim.connect(ids[a], ap, ids[b], bp, cfg));
@@ -437,16 +410,6 @@ impl Topology {
         self.names.iter().position(|n| n == name).map(|i| self.ids[i])
     }
 
-    /// The builder-given name of `id`, if the node exists.
-    pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        self.ids.iter().position(|&n| n == id).map(|i| self.names[i].as_str())
-    }
-
-    /// Every [`Host`] node in insertion order (LAN hosts and servers).
-    pub fn host_nodes(&self) -> Vec<NodeId> {
-        self.by_kind(&[Kind::DhcpHost, Kind::StaticHost])
-    }
-
     /// Every DHCP-configured [`Host`] in insertion order — the LAN side of
     /// the topology.
     pub fn lan_hosts(&self) -> Vec<NodeId> {
@@ -493,11 +456,6 @@ impl Topology {
         f: impl FnOnce(&mut T, &mut NodeCtx) -> R,
     ) -> R {
         self.sim.with_node::<T, _>(id, f)
-    }
-
-    /// The DHCP-assigned address of the host node `id` (panics if unbound).
-    pub fn host_addr(&self, id: NodeId) -> Ipv4Addr {
-        self.sim.node_ref::<Host>(id).dhcp_lease().expect("host bound").addr
     }
 
     /// Runs the simulation for `d`.
